@@ -17,6 +17,12 @@ vectorized executor solves.  The v2 runs also report scheduler shape:
 warps per vector dispatch and the fraction of warp-stretches that fell
 back to the per-warp path.
 
+One driver step at n=1024 (soaoas, block 128: 8 blocks on 8 busy SMs)
+is timed under both compiled modes as the median and interquartile
+range of ``STEP_REPEATS`` steps, with ``step_sms_per_group`` — the SMs
+each v2 replay plan ran for at once (SM folding, see
+:func:`repro.cudasim.fastpath.run_lockstep`).
+
 Every mode is bit-identical to the interpreter by construction
 (``tests/test_fastpath.py`` pins memory images, stats and cycle counts),
 so this benchmark only reports time.
@@ -44,6 +50,10 @@ UNROLL_FACTORS = (1, 4, 16, 128)
 PAPER_N = 2048
 PAPER_UNROLL = 16
 
+#: The driver-step point: n, and the steps timed per compiled mode.
+STEP_N = 1024
+STEP_REPEATS = 5
+
 #: Execution modes: env value -> report key suffix.
 MODES = (("0", "interpreter"), ("1", "fastpath_v1"), ("2", "fastpath_v2"))
 
@@ -55,6 +65,44 @@ def _best_of(fn, repeats: int) -> float:
         fn()
         times.append(time.perf_counter() - t0)
     return min(times)
+
+
+def _median_iqr(times: list[float]) -> tuple[float, float]:
+    """Median and interquartile range (linear interpolation)."""
+    import numpy as np
+
+    q1, med, q3 = np.percentile(times, [25, 50, 75])
+    return float(med), float(q3 - q1)
+
+
+def bench_step() -> dict:
+    """Host time of one n=1024 driver step under v1 and v2."""
+    from repro.cudasim import fastpath
+    from repro.gravit import Simulation, SimulationConfig, plummer
+
+    out: dict = {"step_n": STEP_N}
+    for mode, suffix in ((1, "fastpath_v1"), (2, "fastpath_v2")):
+        sim = Simulation.create(
+            SimulationConfig(fastpath=mode), plummer(STEP_N, seed=0)
+        )
+        sim.step(0.01)  # warm the compile, codegen and replay caches
+        fastpath.reset_vec_counters()
+        times = []
+        for _ in range(STEP_REPEATS):
+            t0 = time.perf_counter()
+            sim.step(0.01)
+            times.append(time.perf_counter() - t0)
+        sim.close()
+        med, iqr = _median_iqr(times)
+        out[f"step_{suffix}_s"] = med
+        out[f"step_{suffix}_iqr_s"] = iqr
+        if mode == 2:
+            vec = fastpath.vec_counters()
+            out["step_sms_per_group"] = vec["group_sms"] / vec["groups"]
+    out["step_speedup_v2_vs_v1"] = (
+        out["step_fastpath_v1_s"] / out["step_fastpath_v2_s"]
+    )
+    return out
 
 
 def _vec_shape(counters: dict) -> dict:
@@ -130,6 +178,7 @@ def bench_sweeps(repeats: int) -> dict:
         else:
             os.environ[FASTPATH_ENV] = saved
         set_default_cache(None)
+    out.update(bench_step())
     interp = out["fig10_fig11_interpreter_s"] + out["unroll_interpreter_s"]
     fast = out["fig10_fig11_fastpath_v2_s"] + out["unroll_fastpath_v2_s"]
     out["total_interpreter_s"] = interp
@@ -147,7 +196,7 @@ def main(argv=None) -> int:
     report = {
         "benchmark": (
             "executor fastpath v1/v2 vs interpreter "
-            "(fig10+fig11 / unroll / paper-scale)"
+            "(fig10+fig11 / unroll / paper-scale / n=1024 step)"
         ),
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
@@ -156,7 +205,8 @@ def main(argv=None) -> int:
             "best-of-N with warm compile/codegen caches; all modes "
             "produce bit-identical memory, stats and cycles "
             "(tests/test_fastpath.py); paper-scale point runs the "
-            "compiled modes only"
+            "compiled modes only; step_* is the median and IQR of "
+            f"{STEP_REPEATS} n={STEP_N} driver steps"
         ),
         "results": bench_sweeps(args.repeats),
     }

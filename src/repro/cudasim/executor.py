@@ -108,6 +108,8 @@ class BlockState:
     shared: SharedMemory
     warps: list["WarpState"] = field(default_factory=list)
     barrier_count: int = 0
+    #: Shared-memory slot in the vectorized fastpath's arena (-1: none).
+    slot: int = -1
 
     @property
     def live_warps(self) -> int:
@@ -426,16 +428,19 @@ class SMExecutor:
         # overflow → inf, 0/0 → NaN, without host-side warnings.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if not _telemetry.enabled():
-                return self._run(block_ids, max_resident)
+                return self._execute(block_ids, max_resident)
             with _telemetry.span(
                 "cudasim.sm",
                 kernel=self.lk.name,
                 sm=self.sm_index,
                 blocks=len(block_ids),
             ) as sp:
-                end = self._run(block_ids, max_resident)
+                end = self._execute(block_ids, max_resident)
                 sp.set(cycles=end)
                 return end
+
+    def _execute(self, block_ids: list[int], max_resident: int) -> float:
+        return self._run(block_ids, max_resident)
 
     def _run(self, block_ids: list[int], max_resident: int) -> float:
         queue = deque(block_ids)
@@ -927,6 +932,64 @@ def _heap_segments(gmem: GlobalMemory) -> list[tuple[int, np.ndarray]]:
     ]
 
 
+def _sm_executor(
+    device: DeviceProperties,
+    policy: CoalescingPolicy,
+    gmem: GlobalMemory,
+    lk: LoweredKernel,
+    params: dict,
+    block_dim: int,
+    grid_dim: int,
+    sm_index: int,
+    trace=None,
+    fastpath: bool | int = False,
+    profile_spec=None,
+) -> SMExecutor:
+    """The executor for one SM, with fresh stats (and profile)."""
+    profile = None
+    if profile_spec is not None:
+        from .profiler import SMProfile
+
+        profile = SMProfile(len(lk.instructions), sm_index, profile_spec)
+    extra: dict = {}
+    mode = _mode(fastpath)
+    if mode:
+        from .fastpath import FastSMExecutor as executor_cls
+
+        extra["vectorize"] = mode >= 2
+    else:
+        executor_cls = SMExecutor
+    return executor_cls(
+        device=device,
+        policy=policy,
+        gmem=gmem,
+        lk=lk,
+        params=params,
+        block_dim=block_dim,
+        grid_dim=grid_dim,
+        stats=KernelStats(),
+        trace=trace,
+        sm_index=sm_index,
+        profile=profile,
+        **extra,
+    )
+
+
+def _mode(fastpath: bool | int) -> int:
+    """``fastpath`` as a mode: 0/False = interpreter, 1 = per-warp v1,
+    2/True = cross-warp vectorized v2."""
+    return (2 if fastpath else 0) if isinstance(fastpath, bool) else int(fastpath)
+
+
+def _sm_run(ex: SMExecutor, end: float) -> SMRun:
+    ex.stats.memory.merge(ex.pipeline.stats)
+    if ex.profile is not None:
+        ex.profile.end_cycle = end
+    return SMRun(
+        sm_index=ex.sm_index, end_cycle=end, stats=ex.stats, profile=ex.profile
+    )
+
+
 def _run_sm_serial(
     device: DeviceProperties,
     policy: CoalescingPolicy,
@@ -942,43 +1005,11 @@ def _run_sm_serial(
     fastpath: bool | int = False,
     profile_spec=None,
 ) -> SMRun:
-    stats = KernelStats()
-    profile = None
-    if profile_spec is not None:
-        from .profiler import SMProfile
-
-        profile = SMProfile(len(lk.instructions), sm_index, profile_spec)
-    # ``fastpath`` is a mode: 0/False = interpreter, 1 = per-warp v1,
-    # 2/True = cross-warp vectorized v2.
-    mode = (2 if fastpath else 0) if isinstance(fastpath, bool) else int(fastpath)
-    extra: dict = {}
-    if mode:
-        from .fastpath import FastSMExecutor as executor_cls
-
-        extra["vectorize"] = mode >= 2
-    else:
-        executor_cls = SMExecutor
-    ex = executor_cls(
-        device=device,
-        policy=policy,
-        gmem=gmem,
-        lk=lk,
-        params=params,
-        block_dim=block_dim,
-        grid_dim=grid_dim,
-        stats=stats,
-        trace=trace,
-        sm_index=sm_index,
-        profile=profile,
-        **extra,
+    ex = _sm_executor(
+        device, policy, gmem, lk, params, block_dim, grid_dim, sm_index,
+        trace=trace, fastpath=fastpath, profile_spec=profile_spec,
     )
-    end = ex.run(block_ids, resident)
-    stats.memory.merge(ex.pipeline.stats)
-    if profile is not None:
-        profile.end_cycle = end
-    return SMRun(
-        sm_index=sm_index, end_cycle=end, stats=stats, profile=profile
-    )
+    return _sm_run(ex, ex.run(block_ids, resident))
 
 
 def _run_sm_task(payload: tuple):
@@ -1045,6 +1076,10 @@ def run_sms(
 
     A non-``None`` ``trace`` hook forces the serial engine: the hook
     observes accesses in program order and is not generally picklable.
+    The serial engine under ``fastpath=2`` folds lock-stepped SMs into
+    shared vector dispatches (:func:`repro.cudasim.fastpath.run_lockstep`)
+    unless the launch is traced, profiled or under telemetry; those run
+    one SM at a time.
     Under ``process``, worker stores are replayed into ``gmem`` in SM
     order, so race-free kernels end with a bit-identical heap.
     ``fastpath`` is a mode — ``0``/``False`` interpreter, ``1`` per-warp
@@ -1061,6 +1096,29 @@ def run_sms(
         engine = "serial"
 
     if engine == "serial":
+        if (
+            assignments
+            and _mode(fastpath) >= 2
+            and trace is None
+            and profile is None
+            and not _telemetry.enabled()
+        ):
+            # Fold lock-stepped SMs into shared vector dispatches.
+            # Traced, profiled and telemetry launches keep one SM at a
+            # time, so trace order and per-SM spans stay as they are.
+            from .fastpath import run_lockstep
+
+            exs = [
+                _sm_executor(
+                    device, policy, gmem, lk, params, block_dim, grid_dim,
+                    sm, fastpath=fastpath,
+                )
+                for sm, _ in assignments
+            ]
+            ends = run_lockstep(
+                exs, [block_ids for _, block_ids in assignments], resident
+            )
+            return [_sm_run(ex, end) for ex, end in zip(exs, ends)]
         return [
             _run_sm_serial(
                 device, policy, gmem, lk, params, block_dim, grid_dim,

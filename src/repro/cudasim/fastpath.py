@@ -26,7 +26,7 @@ overhead without perturbing a single simulated cycle:
 4. (v2, ``REPRO_EXEC_FASTPATH=2``, the default) warps sitting at the
    same pc of the same basic block are *batched*: the executor keeps all
    resident warps' register files, predicates and scoreboards stacked in
-   one per-SM arena (``(regs, warps, lanes)`` arrays; each
+   an arena (``(regs, sms, warps, lanes)`` arrays; each
    :class:`WarpState` holds row views), and a warp-group scheduler
    (:meth:`FastSMExecutor._vdispatch`) dispatches one numpy-vectorized
    call per ``(pc, bucket)`` through the ``make_vsteps`` template family
@@ -80,7 +80,7 @@ per-warp path executes instead.
 
 On top of the lockstep window, unprofiled runs use a *replay*
 scheduler (:meth:`FastSMExecutor._vreplay` /
-:meth:`FastSMExecutor._vdispatch_replay`): the interpreter's
+:meth:`FastSMExecutor._vrequest` / :func:`_run_group`): the interpreter's
 round-robin scan is simulated once in pure Python over a window of
 schedulable pcs (:func:`repro.cudasim.cfg.replay_schedulable` —
 fusible ALU work plus unpredicated shared loads and branches), and the
@@ -97,6 +97,23 @@ from divergence — aborts the window via a per-event snapshot that
 restores warp clocks, pcs and the exact stall/idle attribution of the
 prefix.  Mixed resident blocks whose divergence stacks reach into the
 window's visited pc range fall back before dispatch.
+
+SM folding
+----------
+
+Every SM of a launch runs the same kernel, and for uniform kernels (the
+all-pairs force kernel sweeps the same tiles in every block) the SMs
+run the same replay plans at the same moments.  :func:`run_lockstep`,
+the serial engine's group executor, exploits that: one
+:class:`_Arena` holds every SM's state as ``(regs, sms, rows, lanes)``,
+each executor's ``_run`` is a generator that yields a committed replay
+request, and requests with equal ``(now, lo, hi, pcs, k0, dkey)`` from
+adjacent SMs run their plan once over ``[:, s0:s1, lo:hi]``
+(:func:`_run_group`).  Pre-dispatch checks stay per SM, validations
+that fail in only some members split the group (the failing SMs leave
+through :meth:`FastSMExecutor._vabort`), and issue counts are split
+back onto each SM, so per-SM stats, heaps and cycles are unchanged.  A
+lone SM is a group of one.
 
 The reference interpreter stays available behind
 ``REPRO_EXEC_FASTPATH=0`` or ``Device(fastpath=False)``; ``=1`` pins
@@ -154,7 +171,9 @@ FASTPATH_ENV = "REPRO_EXEC_FASTPATH"
 #: programs from an older codegen can never be returned.  Generation 2:
 #: cross-warp vectorized templates (``make_vsteps``) and the per-pc
 #: cost/latency/write metadata the warp-group scheduler consumes.
-FASTPATH_GENERATION = 2
+#: Generation 3: the vectorized templates run over ``(sms, warps,
+#: lanes)`` stacks and count predicated lanes per SM.
+FASTPATH_GENERATION = 3
 
 #: Spelling → mode for :data:`FASTPATH_ENV`.  The boolean aliases keep
 #: their historical meaning: any "true" spelling selects the best
@@ -487,10 +506,10 @@ def _voperand_expr(
     s, params_bound: dict, lk: LoweredKernel, args: _Args
 ) -> _OperandExpr:
     """Cross-warp twin of :func:`_operand_expr`: register and predicate
-    slots resolve to ``(warps, lanes)`` stacks, ``ctaid`` to the per-row
-    ``(warps, 1)`` block-id column (it varies across a cross-block
-    bucket).  Value identity with the per-warp expressions is preserved
-    row for row — every op below them is elementwise."""
+    slots resolve to ``(sms, warps, lanes)`` stacks, ``ctaid`` to the
+    per-row ``(sms, warps, 1)`` block-id column (it varies across a
+    cross-block bucket).  Value identity with the per-warp expressions
+    is preserved row for row — every op below them is elementwise."""
     if isinstance(s, Reg):
         if s.is_predicate:
             return _OperandExpr(
@@ -525,14 +544,18 @@ def _emit_vstep(
     dev: DeviceProperties,
     params_bound: dict,
 ) -> tuple[str, _Args]:
-    """Template body for one instruction over a ``(warps, lanes)`` stack.
+    """Template body for one instruction over an ``(sms, warps, lanes)``
+    stack.
 
-    The step issues the instruction for ``nw`` warps in the
-    interpreter's warp-major lockstep order: warp at cyclic position
-    ``mv[k]`` issues at ``now + mv[k]*c``, so scoreboard marks land at
-    ``now + L + mv*c`` and the clock returns advanced by ``c*nw``.  All
-    value computation is elementwise over the stack, so each row equals
-    the per-warp step bit for bit.
+    The step issues the instruction for ``nw`` warps of every SM in the
+    stack, in the interpreter's warp-major lockstep order: warp at
+    cyclic position ``mv[k]`` issues at ``now + mv[k]*c``, so scoreboard
+    marks land at ``now + L + mv*c`` and the clock returns advanced by
+    ``c*nw``.  All value computation is elementwise over the stack, so
+    each row equals the per-warp step bit for bit.  ``cnt`` counts
+    per-SM issues; ``lanes`` accumulates either a plain int (the same
+    for every SM of the stack) or an ``(sms,)`` array (data-dependent
+    predicated masks), which the group executor splits per SM.
     """
     args = _Args()
     srcs = [_voperand_expr(s, params_bound, lk, args) for s in ins.srcs]
@@ -548,7 +571,7 @@ def _emit_vstep(
         inv = "~" if ins.pred_neg else ""
         body.append(f"m = act & {inv}P[{pi}]")
         body.append("cnt[pc] += nw")
-        body.append("lanes[pc] += int(m.sum())")
+        body.append("lanes[pc] += m.sum(axis=(1, 2))")
         mask, full_var = "m", None
     else:
         body.append("cnt[pc] += nw")
@@ -581,7 +604,7 @@ def _emit_vstep(
             if latency is not None:
                 # One mark per warp, staggered by the issue order.
                 body.append(
-                    f"pend[:, {di}] = now + {latency!r} + mv * {issue!r}"
+                    f"pend[..., {di}] = now + {latency!r} + mv * {issue!r}"
                 )
     body.append(f"return now + {issue!r} * nw")
     return "\n".join(body), args
@@ -936,11 +959,31 @@ def compile_fastpath(
 #: when the telemetry layer is enabled each SM run also flushes its
 #: deltas to the registry as ``cudasim.fastpath.vec.*`` counters.
 _VEC_COUNTERS = {
-    "dispatches": 0,  # successful cross-warp dispatches
+    "dispatches": 0,  # successful cross-warp dispatches (per SM)
     "warps": 0,  # warps issued through those dispatches
     "instructions": 0,  # warp-instructions issued vectorized
     "fallbacks": 0,  # bucket attempts that fell back to the v1 path
+    # Why an attempt fell back (one key per ``return None`` site; the
+    # four sum to ``fallbacks``): fewer than two countable warps or a
+    # non-contiguous row range, no schedulable window, a pre-window
+    # scoreboard entry (or lockstep wake) too late, a reconvergence
+    # point inside the window.
+    "fallback.small_bucket": 0,
+    "fallback.window": 0,
+    "fallback.pending": 0,
+    "fallback.reconverge": 0,
+    # Why a committed replay dispatch ended early (``_vabort`` causes).
+    "abort.bank_conflict": 0,
+    "abort.branch": 0,
+    # Replay plans executed, and the SMs that ran them: a group folds
+    # lock-stepped SMs into one vector dispatch (``group_sms / groups``
+    # is the mean fold width).
+    "groups": 0,
+    "group_sms": 0,
 }
+
+#: The per-SM keys of :data:`_VEC_COUNTERS` each executor accumulates.
+_SM_KEYS = tuple(k for k in _VEC_COUNTERS if not k.startswith("group"))
 
 
 def vec_counters() -> dict:
@@ -954,6 +997,96 @@ def reset_vec_counters() -> None:
         _VEC_COUNTERS[k] = 0
 
 
+class _Arena:
+    """Stacked v2 state of every SM a lockstep engine runs.
+
+    ``regs`` is ``(regs, sms, rows, lanes)``, ``preds`` likewise and
+    ``pend`` is ``(sms, rows, regs)``.  Each :class:`FastSMExecutor`
+    owns one SM index ``slot`` and binds its warps to row views of
+    ``[:, slot]`` (see :meth:`FastSMExecutor._assign_rows`), so a group
+    of SMs with adjacent slots runs one vector step over the
+    ``[:, s0:s1, lo:hi]`` view.  Every resident block's shared memory is a view into
+    ``shared`` as well, and ``sbase`` holds each row's flat word offset
+    of its block's shared memory, so a group's broadcast shared loads
+    become one gather.
+
+    ``vsteps`` is the program's cross-warp template family bound to the
+    arena's own ``cnt``/``lanes`` accumulators: a group's issue counts
+    collect there and :meth:`merge` splits them onto the member SMs.
+    """
+
+    def __init__(self, ex: "FastSMExecutor", sms: int, max_resident: int):
+        lk = ex.lk
+        blocks = max(1, max_resident)
+        rows = blocks * max(1, ex.block_dim // WARP)
+        regs = max(lk.reg_count, 1)
+        self.blocks = blocks
+        self.swords = max(lk.shared_words, 1)
+        self.regs = np.zeros((regs, sms, rows, WARP), dtype=_F64)
+        self.preds = np.zeros(
+            (max(lk.pred_count, 1), sms, rows, WARP), dtype=bool
+        )
+        self.pend = np.zeros((sms, rows, regs), dtype=_F64)
+        self.tid = np.zeros((sms, rows, WARP), dtype=np.int64)
+        self.cta = np.zeros((sms, rows, 1), dtype=np.int64)
+        self.sbase = np.zeros((sms, rows), dtype=np.int64)
+        self.shared = np.zeros(sms * blocks * self.swords, dtype=_F64)
+        self.ones = np.ones((sms, rows, WARP), dtype=bool)
+        n = ex._program.n
+        self.cnt = [0] * n
+        self.lanes: list = [0] * n
+        self.vsteps = ex._program.make_vsteps(
+            dict(ex._ctx, cnt=self.cnt, lanes=self.lanes)
+        )
+        self._zeros: dict = {}
+
+    def zeros(self, W: int) -> np.ndarray:
+        """Zero cyclic positions for ``W`` rows: replay events carry
+        their own issue times, so the templates' stagger term is 0."""
+        z = self._zeros.get(W)
+        if z is None:
+            z = self._zeros[W] = np.zeros(W, dtype=_F64)
+        return z
+
+    def merge(self, members: list, pcs) -> None:
+        """Move the accumulated issue counts onto the member SMs.
+
+        An int lane count is each member's; an array holds one entry
+        per member, in slot order.
+        """
+        cnt = self.cnt
+        lanes = self.lanes
+        for q in pcs:
+            c = cnt[q]
+            if not c:
+                continue
+            lv = lanes[q]
+            if type(lv) is int:
+                for ex in members:
+                    ex._cnt[q] += c
+                    ex._lanes_acc[q] += lv
+            else:
+                for ex, v in zip(members, lv.tolist()):
+                    ex._cnt[q] += c
+                    ex._lanes_acc[q] += v
+            cnt[q] = 0
+            lanes[q] = 0
+
+
+class _VRequest:
+    """One SM's committed replay dispatch, waiting for its group.
+
+    ``key`` is ``(now, lo, hi, pcs, k0, dkey)``: SMs with equal keys run
+    the same memoized plan at the same moment over the same rows.
+    ``result`` receives the ``(now, rr)`` the SM resumes with.
+    """
+
+    __slots__ = (
+        "ex", "key", "warps", "wake", "lo", "W", "now", "meta", "acts",
+        "nas", "act2", "nl", "allfull", "result",
+    )
+
+
 class FastSMExecutor(SMExecutor):
     """SM executor running straight-line stretches through codegen.
 
@@ -963,10 +1096,10 @@ class FastSMExecutor(SMExecutor):
 
     With ``vectorize=True`` (``fastpath=2``, the default mode) the
     executor additionally keeps every resident warp's register file,
-    predicate file and scoreboard stacked in one per-SM arena and
-    dispatches same-pc warp groups through the cross-warp templates —
-    see :meth:`_vdispatch`.  The per-warp machinery stays fully
-    functional underneath as the fallback engine.
+    predicate file and scoreboard stacked in an :class:`_Arena` and
+    dispatches warp groups through the cross-warp templates — see
+    :meth:`_vdispatch` and :func:`run_lockstep`.  The per-warp machinery
+    stays fully functional underneath as the fallback engine.
     """
 
     def __init__(self, *args, vectorize: bool = False, **kwargs) -> None:
@@ -981,7 +1114,7 @@ class FastSMExecutor(SMExecutor):
         n = self._program.n
         self._cnt = [0] * n
         self._lanes_acc = [0] * n
-        ctx = {
+        self._ctx = {
             "cnt": self._cnt,
             "lanes": self._lanes_acc,
             "lane": self._lane,
@@ -989,12 +1122,11 @@ class FastSMExecutor(SMExecutor):
             "grid_dim": self.grid_dim,
             "params": self.params,
         }
-        self._steps = self._program.make_steps(ctx)
+        self._steps = self._program.make_steps(self._ctx)
         self._ends = self._program.ends
+        self._arena: _Arena | None = None
+        self._slot = 0
         if self._vec:
-            # Both template families share the cnt/lanes accumulators,
-            # so the stat flush is engine-agnostic.
-            self._vsteps = self._program.make_vsteps(ctx)
             # Static schedule caches: lockstep windows stay local (the
             # key space is tiny), replays live on the shared program so
             # every SM and every launch reuses them.
@@ -1008,27 +1140,27 @@ class FastSMExecutor(SMExecutor):
                 replay_schedulable(ins) for ins in self.lk.instructions
             ]
         # Dispatch counters (merged into _VEC_COUNTERS per run).
-        self._vd = self._vw = self._vi = self._vf = 0
+        self._vstat = dict.fromkeys(_SM_KEYS, 0)
 
     # -- arena ------------------------------------------------------------
 
-    def _arena_alloc(self, max_resident: int) -> None:
-        """Allocate the stacked per-SM state: one row per resident warp.
+    def _bind_arena(self, arena: _Arena, slot: int) -> None:
+        """Take SM index ``slot`` of ``arena``.
 
-        :class:`WarpState` instances are bound to row *views*, so the
-        per-warp interpreter/v1 paths and the cross-warp steps read and
-        write the same storage — there is no copy on either side of a
-        fallback boundary.
+        :class:`WarpState` instances are bound to row *views* of it, so
+        the per-warp interpreter/v1 paths and the cross-warp steps read
+        and write the same storage — there is no copy on either side of
+        a fallback boundary.
         """
-        rows = max(1, max_resident) * max(1, self.block_dim // WARP)
-        regs = max(self.lk.reg_count, 1)
-        preds = max(self.lk.pred_count, 1)
-        self._a_regs = np.zeros((regs, rows, WARP), dtype=_F64)
-        self._a_preds = np.zeros((preds, rows, WARP), dtype=bool)
-        self._a_pend = np.zeros((rows, regs), dtype=_F64)
-        self._a_tid = np.zeros((rows, WARP), dtype=np.int64)
-        self._a_cta = np.zeros((rows, 1), dtype=np.int64)
-        self._a_ones = np.ones((rows, WARP), dtype=bool)
+        self._arena = arena
+        self._slot = slot
+        self._a_regs = arena.regs[:, slot]
+        self._a_preds = arena.preds[:, slot]
+        self._a_pend = arena.pend[slot]
+        self._a_tid = arena.tid[slot]
+        self._a_cta = arena.cta[slot]
+        self._a_sbase = arena.sbase[slot]
+        self._sbase0 = slot * arena.blocks * arena.swords
 
     def _assign_rows(self, warps: list[WarpState]) -> None:
         """Bind every warp to the arena row matching its list index.
@@ -1040,6 +1172,7 @@ class FastSMExecutor(SMExecutor):
         """
         regs3, preds3 = self._a_regs, self._a_preds
         pend2, tid2, cta2 = self._a_pend, self._a_tid, self._a_cta
+        swords = self._arena.swords
         for idx, w in enumerate(warps):
             old = w._row
             if old == idx:
@@ -1056,6 +1189,7 @@ class FastSMExecutor(SMExecutor):
                 pend2[idx] = pend2[old]
                 tid2[idx] = tid2[old]
             cta2[idx, 0] = w.block.block_id
+            self._a_sbase[idx] = self._sbase0 + w.block.slot * swords
             w._row = idx
             w.regs = regs3[:, idx, :]
             w.preds = preds3[:, idx, :]
@@ -1213,8 +1347,7 @@ class FastSMExecutor(SMExecutor):
             count += 1
         W = count
         if W < 2 or hi - lo + 1 != W or not lo <= i <= hi:
-            self._vf += 1
-            return None
+            return self._vfail("small_bucket")
         # Lockstep wake check: the warp at cyclic position m (scan order
         # from the chosen warp i) must be issuable at now + m*c0.
         for j in range(lo, hi + 1):
@@ -1222,8 +1355,7 @@ class FastSMExecutor(SMExecutor):
             if m < 0:
                 m += W
             if wake[j] > now + m * c0:
-                self._vf += 1
-                return None
+                return self._vfail("pending")
         key = (pc0, W)
         meta = self._vmeta.get(key)
         if meta is None:
@@ -1238,13 +1370,11 @@ class FastSMExecutor(SMExecutor):
             while stop > pc0 and tots[stop - 1 - pc0] > limit:
                 stop -= 1
         if stop <= pc0:
-            self._vf += 1
-            return None
+            return self._vfail("window")
         hi2 = hi + 1
         pend2 = self._a_pend
         if cols.size and not (pend2[lo:hi2, cols] <= now + thr).all():
-            self._vf += 1
-            return None
+            return self._vfail("pending")
         # Committed.  Reconvergence pops first (mask-only, timing-free).
         prof = self.profile
         for j in range(lo, hi2):
@@ -1270,23 +1400,26 @@ class FastSMExecutor(SMExecutor):
             nl += na
             if na != WARP:
                 allfull = False
+        arena = self._arena
+        sa, sb = self._slot, self._slot + 1
         if allfull:
-            act2 = self._a_ones[:W]
+            act2 = arena.ones[sa:sb, lo:hi2]
             full = True
         else:
-            act2 = np.vstack([warps[j].active for j in range(lo, hi2)])
+            act2 = np.vstack([warps[j].active for j in range(lo, hi2)])[None]
             full = False
         k0 = i - lo
         mv = self._mv_cache.get((W, k0))
         if mv is None:
             mv = (np.arange(W, dtype=_F64) - k0) % W
             self._mv_cache[(W, k0)] = mv
-        vsteps = self._vsteps
-        regs2 = self._a_regs[:, lo:hi2, :]
-        preds2 = self._a_preds[:, lo:hi2, :]
-        pend = pend2[lo:hi2]
-        tid = self._a_tid[lo:hi2]
-        cta = self._a_cta[lo:hi2]
+        # A group of one over this SM's ``[:, slot:slot+1, lo:hi]`` view.
+        vsteps = arena.vsteps
+        regs2 = arena.regs[:, sa:sb, lo:hi2]
+        preds2 = arena.preds[:, sa:sb, lo:hi2]
+        pend = arena.pend[sa:sb, lo:hi2]
+        tid = arena.tid[sa:sb, lo:hi2]
+        cta = arena.cta[sa:sb, lo:hi2]
         stats = self.stats
         warp_i = warps[i]
         deps = prog.deps
@@ -1313,6 +1446,7 @@ class FastSMExecutor(SMExecutor):
             vsteps[q](
                 regs2, preds2, pend, tid, cta, act2, full, nl, W, t_q, mv
             )
+        arena.merge((self,), range(pc0, stop))
         t = now + tots[rounds - 1]
         if n_out:
             # Each wrap scan passes every countable outside warp once,
@@ -1341,9 +1475,10 @@ class FastSMExecutor(SMExecutor):
                 if v > wk:
                     wk = v
             wake[j] = wk
-        self._vd += 1
-        self._vw += W
-        self._vi += W * rounds
+        vs = self._vstat
+        vs["dispatches"] += 1
+        vs["warps"] += W
+        vs["instructions"] += W * rounds
         rr = i if i > lo else hi2 % n
         return t, rr
 
@@ -1393,14 +1528,15 @@ class FastSMExecutor(SMExecutor):
 
         Returns ``None`` when the window is too small to be worth
         dispatching, else ``(plan, kvec, pvec, qlo, qhi, cut, rr_pos,
-        stalls, idle, cols, thr2, nivec, total)``: the execution plan
-        (stacked numpy groups, scalar steps, memory issues and branch
-        validations, in schedule order), per-row instruction counts,
-        per-row final pcs, per-row visited pc ranges, the port-free cut
-        offset, the ring cursor at the cut, closed-form stall/idle
-        charges, the pre-window threshold arrays, and per-row
-        next-issue offsets.  All offsets are exact dyadic rationals, so
-        the float arithmetic is association-free.
+        stalls, idle, cols, thr2, nivec, total, ppcs)``: the execution
+        plan (stacked numpy groups, scalar steps, memory issues and
+        branch validations, in schedule order), per-row instruction
+        counts, per-row final pcs, per-row visited pc ranges, the
+        port-free cut offset, the ring cursor at the cut, closed-form
+        stall/idle charges, the pre-window threshold arrays, per-row
+        next-issue offsets, the issue total and the plan's distinct
+        pcs (where a group's issue counts land).  All offsets are exact
+        dyadic rationals, so the float arithmetic is association-free.
         """
         prog = self._program
         W = len(dkey)
@@ -1665,29 +1801,37 @@ class FastSMExecutor(SMExecutor):
             thr2,
             tuple(ni),
             total,
+            tuple(sorted({e[2] for e in plan})),
         )
 
-    def _vdispatch_replay(
+    def _vfail(self, reason: str) -> None:
+        """Count one fallback to the per-warp path, with its reason."""
+        vs = self._vstat
+        vs["fallbacks"] += 1
+        vs["fallback." + reason] += 1
+        return None
+
+    def _vrequest(
         self,
         warps: list[WarpState],
         wake: list[float],
         i: int,
         pc0: int,
         now: float,
-    ) -> tuple[float, int] | None:
-        """Cross-warp dispatch through the symbolic scheduler replay.
+    ) -> _VRequest | None:
+        """Prepare a cross-warp dispatch through the scheduler replay.
 
         The profiler-off counterpart of :meth:`_vdispatch`: the bucket
         is every countable warp — at *any* pc — and the schedule comes
         from :meth:`_vreplay` keyed by the bucket's exact entry pcs and
         wake pattern, so staggered, reordered and mixed-pc groups
-        vectorize, with shared loads issued by the interpreter's own
-        ``_issue`` at their scheduled times.  Aligned stretches run as
-        stacked numpy steps; everything else replays scalar in schedule
-        order.  Stall and idle charges come from the replay's closed
-        forms.
+        vectorize.  This half runs the SM's own pre-dispatch checks
+        (pre-window scoreboard thresholds, reconvergence points) and
+        commits; the plan itself runs in :func:`_run_group`, together
+        with every lock-stepped SM holding an equal request key, and
+        :meth:`_vcommit` / :meth:`_vabort` finish it.  Returns ``None``
+        to fall back to the per-warp v1 path.
         """
-        prog = self._program
         n = len(warps)
         lo = hi = -1
         count = 0
@@ -1701,8 +1845,7 @@ class FastSMExecutor(SMExecutor):
             count += 1
         W = count
         if W < 2 or hi - lo + 1 != W:
-            self._vf += 1
-            return None
+            return self._vfail("small_bucket")
         k0 = i - lo
         pcs = tuple(warps[lo + m].pc for m in range(W))
         # Entry wake offsets in flat row order; anything at or before
@@ -1717,23 +1860,20 @@ class FastSMExecutor(SMExecutor):
                 vrmeta.clear()
             meta = vrmeta[key] = self._vreplay(pcs, k0, dkey)
         if meta is None:
-            self._vf += 1
-            return None
-        (plan, kvec, pvec, qlovec, qhivec, cut, rr_pos, stalls, idle,
-         cols, thr2, nivec, total) = meta
+            return self._vfail("window")
+        kvec, qlovec, qhivec, cols, thr2 = (
+            meta[1], meta[3], meta[4], meta[9], meta[10]
+        )
         hi2 = hi + 1
-        pend2 = self._a_pend
         if cols is not None and not (
-            pend2[lo:hi2, cols] <= now + thr2
+            self._a_pend[lo:hi2, cols] <= now + thr2
         ).all():
-            self._vf += 1
-            return None
+            return self._vfail("pending")
         # A reconvergence point inside a row's visited pc range would
         # rejoin parked lanes mid-window; entries at the entry pc
         # itself pop on commit, anything else in range falls back.
         for m in range(W):
-            km = kvec[m]
-            if km:
+            if kvec[m]:
                 stack = warps[lo + m].div_stack
                 if stack:
                     p0 = pcs[m]
@@ -1745,8 +1885,7 @@ class FastSMExecutor(SMExecutor):
                         if any(
                             ql <= s0 <= qh for s0, _ in stack[: idx + 1]
                         ):
-                            self._vf += 1
-                            return None
+                            return self._vfail("reconverge")
         # Committed.  Reconvergence pops for every row that issues
         # (rows the window never schedules haven't moved).
         for m in range(W):
@@ -1774,117 +1913,114 @@ class FastSMExecutor(SMExecutor):
             nl += na
             if na != WARP:
                 allfull = False
-        steps = self._steps
-        vsteps = self._vsteps
-        if allfull:
-            act2 = self._a_ones[:W]
+        r = _VRequest()
+        r.ex = self
+        r.key = (now, lo, hi, pcs, k0, dkey)
+        r.warps = warps
+        r.wake = wake
+        r.lo = lo
+        r.W = W
+        r.now = now
+        r.meta = meta
+        r.acts = acts
+        r.nas = nas
+        r.nl = nl
+        r.allfull = allfull
+        r.act2 = (
+            self._arena.ones[self._slot, lo:hi2]
+            if allfull
+            else np.vstack(acts)
+        )
+        return r
+
+    def _vevent(self, r: _VRequest, e: tuple) -> bool:
+        """Validate one shared load or branch of the plan for this SM.
+
+        A whole-warp broadcast load and a branch whose predicate is
+        uniform in the assumed direction are proven in place; anything
+        else runs through the real ``_issue``.  Returns ``False`` when
+        the outcome contradicts the plan — the SM then leaves its group
+        through :meth:`_vabort`, with ``r.result`` set.
+        """
+        m = e[1]
+        q = e[2]
+        wp = r.warps[r.lo + m]
+        na = r.nas[m]
+        t = r.now + e[3]
+        if e[0] == 3:
+            tgt, pi, neg, taken, _c = self._program.bra[q]
+            if na == WARP:
+                # Fully active warp: the assumption holds iff the
+                # predicate is uniform in the assumed direction.
+                prow = wp.preds[pi]
+                if prow.all() if taken != neg else not prow.any():
+                    self._cnt[q] += 1
+                    self._lanes_acc[q] += na
+                    return True
+            # Partial mask or assumption miss: run the real branch.  It
+            # may still match (uniform over a partial mask) — anything
+            # else ends the window exactly here with the real outcome
+            # already applied.
+            wp.pc = q
+            end = self._issue(wp, t)
+            if (
+                end == t + e[4]
+                and wp.pc == (tgt if taken else q + 1)
+                and wp.active is r.acts[m]
+            ):
+                return True
         else:
-            act2 = np.vstack(acts)
-        mvz = self._mv_cache.get(W)
-        if mvz is None:
-            mvz = self._mv_cache[W] = np.zeros(W, dtype=_F64)
-        regs2 = self._a_regs[:, lo:hi2, :]
-        preds2 = self._a_preds[:, lo:hi2, :]
-        pend = pend2[lo:hi2]
-        tid = self._a_tid[lo:hi2]
-        cta = self._a_cta[lo:hi2]
-        issue_one = self._issue
-        mem = prog.mem
-        bra = prog.bra
-        cnt = self._cnt
-        lanes_acc = self._lanes_acc
-        for e in plan:
-            kind = e[0]
-            if kind == 2:
-                vsteps[e[2]](
-                    regs2, preds2, pend, tid, cta, act2, allfull, nl, W,
-                    now + e[3], mvz,
-                )
-            elif kind == 0:
-                m = e[1]
-                na = nas[m]
-                steps[e[2]](
-                    warps[lo + m], now + e[3], acts[m], na == WARP, na
-                )
-            elif kind == 3:
-                m = e[1]
-                q = e[2]
-                tgt, pi, neg, taken, _c = bra[q]
-                if pi < 0:
-                    # Unconditional: the interpreter always jumps.
-                    cnt[q] += 1
-                    lanes_acc[q] += nas[m]
-                    continue
-                wp = warps[lo + m]
-                ok = False
-                if nas[m] == WARP:
-                    # Fully active warp: the assumption holds iff the
-                    # predicate is uniform in the assumed direction.
-                    prow = wp.preds[pi]
-                    if neg:
-                        ok = (not prow.any()) if taken else prow.all()
-                    else:
-                        ok = prow.all() if taken else (not prow.any())
-                if ok:
-                    cnt[q] += 1
-                    lanes_acc[q] += nas[m]
-                    continue
-                # Partial mask or assumption miss: run the real branch.
-                # It may still match (uniform over a partial mask) —
-                # anything else ends the window exactly here with the
-                # real outcome already applied.
-                t = now + e[3]
-                wp.pc = q
-                end = issue_one(wp, t)
+            # Inlined execution of the dominant shared-load shape —
+            # register base, fully active warp, whole-warp broadcast
+            # address, aligned and in bounds.  Broadcast degree is
+            # exactly ``len(dsts)`` (one distinct word per bank,
+            # serialized by the vector width), which is the replay's
+            # assumed cost, so this shape can never abort; stats flow
+            # through the per-pc counters ``_flush_counts`` folds,
+            # identically to ``KernelStats.count``.
+            _, lat, dsts, aslot, off = self._program.mem[q]
+            if aslot >= 0 and na == WARP:
+                arow = wp.regs[aslot]
+                a0 = arow[0]
+                addr = int(a0) + off
+                shared = wp.block.shared
                 if (
-                    end != t + e[4]
-                    or wp.pc != (tgt if taken else q + 1)
-                    or wp.active is not acts[m]
+                    not addr & 3
+                    and 0 <= addr
+                    and addr + 4 * len(dsts) <= shared.size_bytes
+                    and (arow == a0).all()
                 ):
-                    return self._vabort(warps, wake, lo, W, now, end, e)
-            else:
-                m = e[1]
-                wp = warps[lo + m]
-                t = now + e[3]
-                q = e[2]
-                # Inlined execution of the dominant shared-load shape —
-                # register base, fully active warp, whole-warp broadcast
-                # address, aligned and in bounds.  Broadcast degree is
-                # exactly ``len(dsts)`` (one distinct word per bank,
-                # serialized by the vector width), which is the replay's
-                # assumed cost, so this shape can never abort; stats
-                # flow through the per-pc counters ``_flush_counts``
-                # folds, identically to ``KernelStats.count``.
-                _, lat, dsts, aslot, off = mem[q]
-                if aslot >= 0 and nas[m] == WARP:
-                    arow = wp.regs[aslot]
-                    a0 = arow[0]
-                    addr = int(a0) + off
-                    shared = wp.block.shared
-                    if (
-                        not addr & 3
-                        and 0 <= addr
-                        and addr + 4 * len(dsts) <= shared.size_bytes
-                        and (arow == a0).all()
-                    ):
-                        words = shared.words
-                        ws = addr >> 2
-                        pending = wp.pending
-                        tl = t + lat
-                        for kk, dst in enumerate(dsts):
-                            wp.regs[dst][:] = words[ws + kk]
-                            pending[dst] = tl
-                        cnt[q] += 1
-                        lanes_acc[q] += WARP
-                        continue
-                wp.pc = q
-                end = issue_one(wp, t)
-                if end != t + e[4]:
-                    return self._vabort(warps, wake, lo, W, now, end, e)
+                    words = shared.words
+                    ws = addr >> 2
+                    pending = wp.pending
+                    tl = t + lat
+                    for kk, dst in enumerate(dsts):
+                        wp.regs[dst][:] = words[ws + kk]
+                        pending[dst] = tl
+                    self._cnt[q] += 1
+                    self._lanes_acc[q] += WARP
+                    return True
+            wp.pc = q
+            end = self._issue(wp, t)
+            if end == t + e[4]:
+                return True
+        r.result = self._vabort(r, end, e)
+        return False
+
+    def _vcommit(self, r: _VRequest) -> tuple[float, int]:
+        """Finish a replay dispatch whose plan ran to the end.
+
+        Stall and idle charges come from the replay's closed forms;
+        every row that issued takes its planned pc, next-issue cycle
+        and cached wake time.  Returns ``(new_now, new_rr)``.
+        """
+        (_plan, kvec, pvec, _qlo, _qhi, cut, rr_pos, stalls, idle,
+         _cols, _thr2, nivec, total, _ppcs) = r.meta
+        warps, wake, lo, W, now = r.warps, r.wake, r.lo, r.W, r.now
         stats = self.stats
         stats.scoreboard_stalls += stalls
         stats.idle_cycles += idle
-        deps = prog.deps
+        deps = self._program.deps
         for m in range(W):
             if not kvec[m]:
                 continue
@@ -1895,26 +2031,20 @@ class FastSMExecutor(SMExecutor):
             wp.next_issue = t
             pending = wp.pending
             wk = t
-            for r in deps[wp.pc]:
-                v = pending[r]
+            for r_ in deps[wp.pc]:
+                v = pending[r_]
                 if v > wk:
                     wk = v
             wake[j] = wk
-        self._vd += 1
-        self._vw += W
-        self._vi += total
-        rr = lo + rr_pos if rr_pos < W else hi2 % n
+        vs = self._vstat
+        vs["dispatches"] += 1
+        vs["warps"] += W
+        vs["instructions"] += total
+        rr = lo + rr_pos if rr_pos < W else (lo + W) % len(warps)
         return now + cut, rr
 
     def _vabort(
-        self,
-        warps: list[WarpState],
-        wake: list[float],
-        lo: int,
-        W: int,
-        now: float,
-        end: float,
-        e: tuple,
+        self, r: _VRequest, end: float, e: tuple
     ) -> tuple[float, int]:
         """Exact mid-window abort on a validation mismatch.
 
@@ -1930,13 +2060,13 @@ class FastSMExecutor(SMExecutor):
         outcome), and resume the main loop at the event's real end with
         the cursor just past the aborting warp.
         """
-        prog = self._program
+        warps, wake, lo, W, now = r.warps, r.wake, r.lo, r.W, r.now
         stats = self.stats
         stats.scoreboard_stalls += e[5]
         stats.idle_cycles += e[6]
         kpart, last, lastpc = e[7]
         m_ab = e[1]
-        deps = prog.deps
+        deps = self._program.deps
         ntot = 0
         for m in range(W):
             km = kpart[m]
@@ -1953,20 +2083,32 @@ class FastSMExecutor(SMExecutor):
             wp.next_issue = t
             pending = wp.pending
             wk = t
-            for r in deps[wp.pc]:
-                v = pending[r]
+            for r_ in deps[wp.pc]:
+                v = pending[r_]
                 if v > wk:
                     wk = v
             wake[j] = wk
-        self._vd += 1
-        self._vw += W
-        self._vi += ntot
+        vs = self._vstat
+        vs["dispatches"] += 1
+        vs["warps"] += W
+        vs["instructions"] += ntot
+        vs["abort.bank_conflict" if e[0] == 1 else "abort.branch"] += 1
         pos = m_ab + 1
-        n = len(warps)
-        rr = lo + pos if pos < W else (lo + W) % n
+        rr = lo + pos if pos < W else (lo + W) % len(warps)
         return end, rr
 
-    def _run(self, block_ids: list[int], max_resident: int) -> float:
+    def _execute(self, block_ids: list[int], max_resident: int) -> float:
+        """Run this SM alone: a lockstep engine of one."""
+        return run_lockstep([self], [block_ids], max_resident)[0]
+
+    def _run(self, block_ids: list[int], max_resident: int):
+        """The SM's scheduler loop, as a generator.
+
+        It yields a :class:`_VRequest` at every committed replay
+        dispatch and resumes with the ``(now, rr)`` that
+        :func:`run_lockstep` sends back once the dispatch's group has
+        run; its return value is the SM's finish cycle.
+        """
         steps = self._steps
         prepped = self._prepped
         stats = self.stats
@@ -1981,7 +2123,11 @@ class FastSMExecutor(SMExecutor):
         vec = self._vec
         vok = self._vok if vec else None
         if vec:
-            self._arena_alloc(max_resident)
+            # Shared-memory slots of this SM in the arena (one per
+            # resident block).
+            free_slots = list(range(max_resident - 1, -1, -1))
+            arena_shared = self._arena.shared
+            swords = self._arena.swords
 
         # The scan state is cached instead of recomputed per iteration:
         # ``wake[i]`` is warp i's earliest issue cycle (inf = done or at
@@ -2006,9 +2152,20 @@ class FastSMExecutor(SMExecutor):
                     ws.next_issue = now
                     ws._prof_t0 = now
                     blk.warps.append(ws)
+                if vec:
+                    blk.slot = free_slots.pop()
+                    base = self._sbase0 + blk.slot * swords
+                    words = arena_shared[base : base + swords]
+                    words[:] = 0.0
+                    blk.shared.words = words
                 resident.append(blk)
                 self.stats.blocks_executed += 1
                 self.stats.warps_executed += n_warps
+
+        def retire(blk: BlockState) -> None:
+            resident.remove(blk)
+            if vec:
+                free_slots.append(blk.slot)
 
         def rebuild() -> None:
             nonlocal warps, spans, wake
@@ -2069,11 +2226,9 @@ class FastSMExecutor(SMExecutor):
                     # interpreter's.
                     if prof is None:
                         if vok[pc0]:
-                            res = self._vdispatch_replay(
-                                warps, wake, i, pc0, now
-                            )
-                            if res is not None:
-                                now, rr = res
+                            req = self._vrequest(warps, wake, i, pc0, now)
+                            if req is not None:
+                                now, rr = yield req
                                 continue
                     elif steps[pc0] is not None:
                         res = self._vdispatch(warps, wake, i, pc0, now)
@@ -2182,7 +2337,7 @@ class FastSMExecutor(SMExecutor):
                     # iteration, but a block can only complete on the
                     # issue that retires its last warp — checking the
                     # issued warp's block is equivalent.
-                    resident.remove(warp.block)
+                    retire(warp.block)
                     activate()
                     rebuild()
                 continue
@@ -2198,7 +2353,7 @@ class FastSMExecutor(SMExecutor):
                     )
                 finished = [b for b in resident if b.done]
                 for b in finished:
-                    resident.remove(b)
+                    retire(b)
                 activate()
                 rebuild()
                 continue
@@ -2221,25 +2376,9 @@ class FastSMExecutor(SMExecutor):
 
     def _flush_vec(self) -> None:
         """Merge this run's dispatch counters into the process totals."""
-        counters = _VEC_COUNTERS
-        counters["dispatches"] += self._vd
-        counters["warps"] += self._vw
-        counters["instructions"] += self._vi
-        counters["fallbacks"] += self._vf
-        if _telemetry.enabled():
-            for name, value in (
-                ("dispatches", self._vd),
-                ("warps", self._vw),
-                ("instructions", self._vi),
-                ("fallbacks", self._vf),
-            ):
-                if value:
-                    _telemetry.inc(
-                        f"cudasim.fastpath.vec.{name}",
-                        float(value),
-                        kernel=self.lk.name,
-                    )
-        self._vd = self._vw = self._vi = self._vf = 0
+        _publish(self._vstat, self.lk.name)
+        for k in self._vstat:
+            self._vstat[k] = 0
 
     def _flush_counts(self) -> None:
         """Fold the per-pc codegen counters into :class:`KernelStats`.
@@ -2276,3 +2415,225 @@ class FastSMExecutor(SMExecutor):
                 )
             self._cnt[pc] = 0
             self._lanes_acc[pc] = 0
+
+
+def _publish(counts: dict, kernel: str) -> None:
+    """Add ``counts`` to :data:`_VEC_COUNTERS` and, when the telemetry
+    layer is on, to the ``cudasim.fastpath.vec.*`` counters."""
+    for name, value in counts.items():
+        _VEC_COUNTERS[name] += value
+    if _telemetry.enabled():
+        for name, value in counts.items():
+            if value:
+                _telemetry.inc(
+                    f"cudasim.fastpath.vec.{name}", float(value), kernel=kernel
+                )
+
+
+# ------------------------------------------------------ lockstep engine
+
+
+def run_lockstep(
+    executors: list[FastSMExecutor],
+    block_lists: list[list[int]],
+    max_resident: int,
+) -> list[float]:
+    """Simulate several SMs of one launch together; their finish cycles.
+
+    Every executor's :meth:`FastSMExecutor._run` generator advances to
+    its next committed replay dispatch (or to its end).  The waiting
+    requests are then grouped over maximal runs of adjacent SMs with
+    equal keys ``(now, lo, hi, pcs, k0, dkey)`` — SMs that run the same
+    memoized plan at the same moment over the same rows — and each
+    group runs its plan once over the arena's ``[:, s0:s1, lo:hi]``
+    view (:func:`_run_group`).  A lone SM is a group of one.
+
+    Interleaving SMs is exact because SMs never interact inside a
+    launch: each has its own pipeline, shared memory and stats, and a
+    race-free launch's SMs write disjoint words that no other SM reads
+    (the contract the process engine relies on as well).
+    """
+    ex0 = executors[0]
+    if ex0._vec:
+        arena = _Arena(ex0, len(executors), max_resident)
+        for slot, ex in enumerate(executors):
+            ex._bind_arena(arena, slot)
+    gens = [
+        ex._run(bids, max_resident)
+        for ex, bids in zip(executors, block_lists)
+    ]
+    ends = [0.0] * len(gens)
+    reqs: list = [None] * len(gens)
+    live = list(range(len(gens)))
+    groups = group_sms = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while live:
+            waiting = []
+            for s in live:
+                r = reqs[s]
+                try:
+                    reqs[s] = gens[s].send(None if r is None else r.result)
+                except StopIteration as stop:
+                    ends[s] = stop.value
+                    continue
+                waiting.append(s)
+            live = waiting
+            j = 0
+            while j < len(live):
+                s0 = live[j]
+                key = reqs[s0].key
+                k = j + 1
+                while (
+                    k < len(live)
+                    and live[k] == live[k - 1] + 1
+                    and reqs[live[k]].key == key
+                ):
+                    k += 1
+                _run_group(reqs[s0 : live[k - 1] + 1])
+                groups += 1
+                group_sms += k - j
+                j = k
+    if groups:
+        _publish({"groups": groups, "group_sms": group_sms}, ex0.lk.name)
+    return ends
+
+
+def _run_group(reqs: list[_VRequest]) -> None:
+    """Run one memoized replay plan for a group of lock-stepped SMs.
+
+    ``reqs`` hold equal keys and adjacent arena slots.  When a
+    validation fails in only some members, those leave through
+    :meth:`FastSMExecutor._vabort` and the rest continue the plan, split
+    into runs of adjacent slots.  Every member ends with ``result`` set.
+    """
+    work = [(reqs, 0)]
+    while work:
+        members, start = work.pop()
+        left = _play(members, start)
+        if left is None:
+            continue
+        idx, stay = left
+        runs: list[list] = []
+        for r in stay:
+            if runs and r.ex._slot == runs[-1][-1].ex._slot + 1:
+                runs[-1].append(r)
+            else:
+                runs.append([r])
+        work.extend((run, idx + 1) for run in runs)
+
+
+def _play(members: list[_VRequest], start: int):
+    """Run plan events from ``start`` for ``members``.
+
+    Vector steps run over ``(sms, warps, lanes)``, per-warp steps over
+    ``(sms, 1, lanes)``; broadcast shared loads become one gather from
+    the members' stacked shared words and branch checks run once for the
+    group, with each member validated on its own only when the group
+    check fails.  Returns ``None`` once every member finished the plan,
+    else ``(event index, members still in the plan)`` after a split.
+    """
+    r0 = members[0]
+    ex0 = r0.ex
+    arena = ex0._arena
+    prog = ex0._program
+    plan = r0.meta[0]
+    ppcs = r0.meta[13]
+    S = len(members)
+    sa = ex0._slot
+    sb = sa + S
+    lo, W, now = r0.lo, r0.W, r0.now
+    hi2 = lo + W
+    R = arena.regs[:, sa:sb, lo:hi2]
+    P = arena.preds[:, sa:sb, lo:hi2]
+    pend = arena.pend[sa:sb, lo:hi2]
+    tid = arena.tid[sa:sb, lo:hi2]
+    cta = arena.cta[sa:sb, lo:hi2]
+    full = all(r.allfull for r in members)
+    if full:
+        act = arena.ones[sa:sb, lo:hi2]
+    else:
+        act = np.stack([r.act2 for r in members])
+    # Lane counts: an int is every member's, an array one per member.
+    nl = r0.nl
+    if any(r.nl != nl for r in members):
+        nl = np.array([r.nl for r in members])
+    rowv: list = [None] * W
+    vsteps = arena.vsteps
+    cnt = arena.cnt
+    lanes_acc = arena.lanes
+    mem = prog.mem
+    bra = prog.bra
+    mvz = arena.zeros(W)
+    mv1 = arena.zeros(1)
+    shared = arena.shared
+    size_bytes = 4 * ex0.lk.shared_words
+    for idx in range(start, len(plan)):
+        e = plan[idx]
+        kind = e[0]
+        if kind == 2:
+            vsteps[e[2]](
+                R, P, pend, tid, cta, act, full, nl, W, now + e[3], mvz
+            )
+            continue
+        m = e[1]
+        rv = rowv[m]
+        if rv is None:
+            sl = slice(m, m + 1)
+            na = r0.nas[m]
+            same = all(r.nas[m] == na for r in members)
+            rv = rowv[m] = (
+                R[:, :, sl], P[:, :, sl], pend[:, sl], tid[:, sl],
+                cta[:, sl], act[:, sl], same and na == WARP,
+                na if same else np.array([r.nas[m] for r in members]),
+                arena.sbase[sa:sb, lo + m],
+            )
+        if kind == 0:
+            vsteps[e[2]](
+                rv[0], rv[1], rv[2], rv[3], rv[4], rv[5], rv[6], rv[7], 1,
+                now + e[3], mv1,
+            )
+            continue
+        q = e[2]
+        if kind == 3:
+            tgt, pi, neg, taken, _c = bra[q]
+            if pi < 0:
+                # Unconditional: the interpreter always jumps.
+                cnt[q] += 1
+                lanes_acc[q] += rv[7]
+                continue
+            if rv[6]:
+                pv = rv[1][pi]
+                if pv.all() if taken != neg else not pv.any():
+                    cnt[q] += 1
+                    lanes_acc[q] += WARP
+                    continue
+        elif S > 1 and rv[6]:
+            _, lat, dsts, aslot, off = mem[q]
+            if aslot >= 0:
+                arow = rv[0][aslot]
+                a0 = arow[:, 0, 0]
+                if (arow == a0[:, None, None]).all():
+                    addr = a0.astype(np.int64) + off
+                    if (
+                        not (addr & 3).any()
+                        and addr.min() >= 0
+                        and addr.max() + 4 * len(dsts) <= size_bytes
+                    ):
+                        base = rv[8] + (addr >> 2)
+                        tl = now + e[3] + lat
+                        for kk, dst in enumerate(dsts):
+                            rv[0][dst] = shared[base + kk][:, None, None]
+                            rv[2][..., dst] = tl
+                        cnt[q] += 1
+                        lanes_acc[q] += WARP
+                        continue
+        # The group check failed (or does not apply): each member
+        # validates on its own, and failing members leave the group.
+        stay = [r for r in members if r.ex._vevent(r, e)]
+        if len(stay) < S:
+            arena.merge([r.ex for r in members], ppcs)
+            return idx, stay
+    arena.merge([r.ex for r in members], ppcs)
+    for r in members:
+        r.result = r.ex._vcommit(r)
+    return None

@@ -106,7 +106,7 @@ def regions_for_layout(layout, base_addr: int, prefix: str = "") -> tuple:
 class SMProfile:
     """Raw profiling counters of one SM's simulation (see module doc).
 
-    Allocated by :func:`repro.cudasim.executor._run_sm_serial` when a
+    Allocated by :func:`repro.cudasim.executor._sm_executor` when a
     :class:`ProfileSpec` is supplied; every executor hook is guarded by
     ``if self.profile is not None`` so a disabled profiler costs one
     predictable branch (the telemetry tracer's zero-overhead pattern).

@@ -240,6 +240,20 @@ class HybridTiming:
         return self.device.cycles_to_seconds(self.kernel_cycles(n))
 
 
+def _check_toolchain(device: Device, config: GpuConfig) -> Device:
+    """``device``, if it runs ``config``'s toolchain; else ``ValueError``.
+
+    The toolchain picks the coalescing policy, so running a config under
+    another toolchain's device would silently change every cycle count.
+    """
+    if device.toolchain is not config.toolchain:
+        raise ValueError(
+            f"device toolchain {device.toolchain} != config "
+            f"{config.toolchain}"
+        )
+    return device
+
+
 class GpuForceBackend:
     """Far-field forces on the simulated GPU (paper Sec. IV)."""
 
@@ -252,12 +266,9 @@ class GpuForceBackend:
         self.config = config or GpuConfig(**config_overrides)
         if config is not None and config_overrides:
             raise ValueError("pass either a GpuConfig or keyword overrides")
-        self.device = device or Device(toolchain=self.config.toolchain)
-        if self.device.toolchain is not self.config.toolchain:
-            raise ValueError(
-                f"device toolchain {self.device.toolchain} != config "
-                f"{self.config.toolchain}"
-            )
+        self.device = _check_toolchain(
+            device or Device(toolchain=self.config.toolchain), self.config
+        )
         self._lowered: LoweredKernel | None = None
         self._plan: KernelPlan | None = None
         self._hybrid: HybridTiming | None = None
@@ -482,7 +493,9 @@ class GpuSimulation:
             raise ValueError("pass either a GpuConfig or keyword overrides")
         _warn_legacy_ctor("GpuSimulation", config_overrides)
         self.config = config or GpuConfig(**config_overrides)
-        self.device = device or Device(toolchain=self.config.toolchain)
+        self.device = _check_toolchain(
+            device or Device(toolchain=self.config.toolchain), self.config
+        )
         self.use_graph = bool(use_graph)
         self.graph_replays = 0
         self._graphs: dict[str, LaunchGraph] = {}
@@ -722,7 +735,9 @@ class OutOfCoreSimulation:
         _warn_legacy_ctor("OutOfCoreSimulation", config_overrides)
         self.config = config or GpuConfig(**config_overrides)
         cfg = self.config
-        self.device = device or Device(toolchain=cfg.toolchain)
+        self.device = _check_toolchain(
+            device or Device(toolchain=cfg.toolchain), cfg
+        )
         self.n = system.n
         padded = system.padded(cfg.block_size)
         self.n_pad = padded.n

@@ -135,9 +135,31 @@ class SimulationService:
         return self.submit_spec(spec)
 
     def submit_spec(self, spec: JobSpec) -> JobHandle:
+        """Admit one job; raises the refusal.
+
+        A spec whose toolchain differs from the service devices' is
+        refused with ``ValueError`` here, at admission, instead of
+        failing on a device stream later.
+        """
         handle = JobHandle(spec, self)
         with self._cond:
             _telemetry.inc("service.jobs.submitted", tenant=spec.tenant)
+            wrong = [
+                dev.name or f"device {i}"
+                for i, dev in enumerate(self.group)
+                if dev.toolchain is not spec.config.toolchain
+            ]
+            if wrong:
+                _telemetry.inc(
+                    "service.jobs.rejected",
+                    tenant=spec.tenant,
+                    reason="toolchain",
+                )
+                raise ValueError(
+                    f"job asks for toolchain {spec.config.toolchain} but "
+                    f"{', '.join(wrong)} run another; submit with the "
+                    "service's toolchain"
+                )
             if self._state != "running":
                 _telemetry.inc(
                     "service.jobs.rejected",

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import make_layout, policy_for
-from repro.cudasim import Device, KernelBuilder, Op, compile_kernel, lower
+from repro.cudasim import (
+    CompileOptions,
+    Device,
+    KernelBuilder,
+    Op,
+    compile_kernel,
+    lower,
+)
 from repro.cudasim.asm import assemble, format_program, roundtrip
 from repro.cudasim.errors import IRError, TraceError
 from repro.cudasim.regalloc import allocate
@@ -114,7 +121,7 @@ class TestRoundtrip:
 
         lay = make_layout("soaoas", 64)
         kernel, _ = build_force_kernel(lay, block_size=64)
-        lk = compile_kernel(kernel, **kw)
+        lk = compile_kernel(kernel, CompileOptions(**kw))
         rt = roundtrip(lk)
         assert [i.op for i in rt.instructions] == [
             i.op for i in lk.instructions

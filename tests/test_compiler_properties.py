@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.cudasim import Device, KernelBuilder, compile_kernel
+from repro.cudasim import (
+    CompileOptions,
+    Device,
+    KernelBuilder,
+    compile_kernel,
+)
 from repro.cudasim.asm import roundtrip
 from repro.cudasim.ir import Kernel
 
@@ -135,14 +140,14 @@ class TestPipelineEquivalence:
     @given(body=body_strategy, trips=st.sampled_from([4, 8]))
     def test_all_pipelines_agree(self, body, trips):
         kernel = _build_kernel(body, trips)
-        baseline = _run(compile_kernel(kernel, dce=False), trips)
+        baseline = _run(compile_kernel(kernel, CompileOptions(dce=False)), trips)
         # Self-amplifying bodies (e.g. r = -(r² + r) per trip) overflow
         # f32 to inf before the end-of-kernel clamp; discard those
         # examples rather than fail — equivalence is only meaningful on
         # finite results.
         assume(np.isfinite(baseline).all())
         for kw in PIPELINES:
-            out = _run(compile_kernel(kernel, **kw), trips)
+            out = _run(compile_kernel(kernel, CompileOptions(**kw)), trips)
             np.testing.assert_array_equal(
                 out, baseline, err_msg=f"pipeline {kw} diverged"
             )
@@ -151,7 +156,7 @@ class TestPipelineEquivalence:
     @given(body=body_strategy)
     def test_assembler_roundtrip_preserves_results(self, body):
         kernel = _build_kernel(body, 4)
-        lk = compile_kernel(kernel, unroll="full", licm=True)
+        lk = compile_kernel(kernel, CompileOptions(unroll="full", licm=True))
         baseline = _run(lk, 4)
         rt = roundtrip(lk)
         from repro.cudasim import allocate
@@ -164,5 +169,5 @@ class TestPipelineEquivalence:
     def test_unroll_never_increases_registers(self, body, trips):
         kernel = _build_kernel(body, trips)
         rolled = compile_kernel(kernel)
-        unrolled = compile_kernel(kernel, unroll="full")
+        unrolled = compile_kernel(kernel, CompileOptions(unroll="full"))
         assert unrolled.reg_count <= rolled.reg_count

@@ -8,7 +8,7 @@ with the device left usable.
 import numpy as np
 import pytest
 
-from repro.cudasim import Device, KernelBuilder, compile_kernel
+from repro.cudasim import CompileOptions, Device, KernelBuilder, compile_kernel
 from repro.cudasim.errors import (
     AccessViolation,
     AllocationError,
@@ -102,7 +102,7 @@ class TestResourceExhaustion:
         for r in regs:
             b.add(total, total, r)
         b.st_global(b.mov("a", b.param("dst")), total)
-        lk = compile_kernel(b.build(), dce=False)
+        lk = compile_kernel(b.build(), CompileOptions(dce=False))
         assert lk.reg_count > 32
         with pytest.raises(LaunchError):
             dev.launch(lk, 1, 512, {"dst": dev.malloc(64)})

@@ -38,7 +38,8 @@ def system():
 
 
 def _run_single(system, cfg, steps=2, scheme="euler", **device_kw):
-    sim = GpuSimulation(system.copy(), cfg, device=Device(**device_kw))
+    device = Device(toolchain=cfg.toolchain, **device_kw)
+    sim = GpuSimulation(system.copy(), cfg, device=device)
     sim.run(steps, DT, scheme=scheme)
     state, forces = sim.download(), sim.download_forces()
     sim.close()
@@ -214,6 +215,22 @@ class TestSimulationFrontDoor:
             SimulationConfig(out_of_core=True, devices=2)
         with pytest.raises(ValueError):
             SimulationConfig(out_of_core=True, pool_records_per_block=32)
+
+    @pytest.mark.parametrize("driver", ("in-core", "out-of-core"))
+    def test_toolchain_mismatch_rejected(self, system, driver):
+        """A config asking for CUDA 2.2 on a CUDA 1.0 device would run
+        under the device's coalescing policy and report other cycles;
+        both drivers refuse it instead."""
+        cfg = GpuConfig(block_size=BLOCK, toolchain=Toolchain.CUDA_2_2)
+        device = Device(toolchain=Toolchain.CUDA_1_0)
+        with pytest.raises(ValueError, match="toolchain"):
+            if driver == "in-core":
+                GpuSimulation(system.copy(), cfg, device=device)
+            else:
+                OutOfCoreSimulation(
+                    system.copy(), cfg, device=device, tile_rows=32
+                )
+        assert list(device.gmem.allocations()) == []
 
     def test_config_round_trips_new_fields(self):
         cfg = SimulationConfig(out_of_core=True, tile_rows=128)

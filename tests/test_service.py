@@ -27,6 +27,7 @@ import pytest
 
 import repro.service as service_pkg
 from repro.cudasim import G8800GTX
+from repro.cudasim.device import Toolchain
 from repro.gravit import (
     GpuConfig,
     GpuSimulation,
@@ -502,6 +503,16 @@ class TestBackpressure:
                 h.result(timeout=300.0)
         finally:
             svc.close()
+
+    def test_toolchain_mismatch_rejected_at_admission(self, svc, system):
+        """A spec whose toolchain differs from the service devices' is
+        refused by ``submit_spec`` and never reaches a device stream."""
+        cfg = HW.replace(toolchain=Toolchain.CUDA_2_2)
+        with pytest.raises(ValueError, match="toolchain"):
+            svc.submit("tc", system, cfg, steps=1)
+        assert svc.queue_depth == 0 and svc.inflight == 0
+        # The refusal leaves the service healthy for matching jobs.
+        assert svc.submit("tc", system, HW, steps=1).result(120.0).cycles > 0
 
     def test_tenant_quota_live(self, svc, system):
         svc.register_tenant("capped", max_pending=1)

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core import make_layout
-from repro.cudasim import Device, G8800GTX, KernelBuilder, compile_kernel
+from repro.cudasim import (
+    CompileOptions,
+    Device,
+    G8800GTX,
+    KernelBuilder,
+    compile_kernel,
+)
 from repro.cudasim.errors import IRError
 from repro.cudasim.validation import check_or_raise, validate_kernel
 from repro.gravit.gpu_kernels import build_force_kernel
@@ -115,7 +121,7 @@ class TestValidateKernel:
         b = KernelBuilder("k")
         b.ld_shared(b.reg("v"), 0)
         with pytest.raises(IRError):
-            compile_kernel(b.build(), validate=True)
+            compile_kernel(b.build(), CompileOptions(validate=True))
         # default: no validation, compiles fine
         compile_kernel(b.build())
 
