@@ -23,6 +23,13 @@ range of ``STEP_REPEATS`` steps, with ``step_sms_per_group`` — the SMs
 each v2 replay plan ran for at once (SM folding, see
 :func:`repro.cudasim.fastpath.run_lockstep`).
 
+One ``step-ooc``-shaped out-of-core step (n=256, block 32, 32-row
+tiles: 72 one-warp launches) is timed under the default mode as the
+median and IQR of ``STEP_REPEATS`` steps.  ``ooc_step_interpreted_issues``
+counts the warp-instructions of one such step that still run through
+the reference interpreter's ``SMExecutor._issue`` (the fused driver
+executes the rest in place) — a deterministic count.
+
 Every mode is bit-identical to the interpreter by construction
 (``tests/test_fastpath.py`` pins memory images, stats and cycle counts),
 so this benchmark only reports time.
@@ -53,6 +60,11 @@ PAPER_UNROLL = 16
 #: The driver-step point: n, and the steps timed per compiled mode.
 STEP_N = 1024
 STEP_REPEATS = 5
+
+#: The out-of-core step point: n, block size and tile rows.
+OOC_N = 256
+OOC_BLOCK = 32
+OOC_TILE_ROWS = 32
 
 #: Execution modes: env value -> report key suffix.
 MODES = (("0", "interpreter"), ("1", "fastpath_v1"), ("2", "fastpath_v2"))
@@ -103,6 +115,48 @@ def bench_step() -> dict:
         out["step_fastpath_v1_s"] / out["step_fastpath_v2_s"]
     )
     return out
+
+
+def bench_ooc_step() -> dict:
+    """Host time of one out-of-core driver step, and how many of its
+    warp-instructions the interpreter's ``_issue`` executes."""
+    from repro.cudasim.executor import SMExecutor
+    from repro.gravit import Simulation, SimulationConfig, plummer
+
+    cfg = SimulationConfig(
+        block_size=OOC_BLOCK, out_of_core=True, tile_rows=OOC_TILE_ROWS
+    )
+    sim = Simulation.create(cfg, plummer(OOC_N, seed=0))
+    try:
+        sim.step(0.01)  # warm the compile and codegen caches
+        times = []
+        for _ in range(STEP_REPEATS):
+            t0 = time.perf_counter()
+            sim.step(0.01)
+            times.append(time.perf_counter() - t0)
+        issue = SMExecutor._issue
+        calls = 0
+
+        def counted(self, warp, now):
+            nonlocal calls
+            calls += 1
+            return issue(self, warp, now)
+
+        SMExecutor._issue = counted
+        try:
+            sim.step(0.01)
+        finally:
+            SMExecutor._issue = issue
+    finally:
+        sim.close()
+    med, iqr = _median_iqr(times)
+    return {
+        "ooc_step_n": OOC_N,
+        "ooc_step_tile_rows": OOC_TILE_ROWS,
+        "ooc_step_s": med,
+        "ooc_step_iqr_s": iqr,
+        "ooc_step_interpreted_issues": calls,
+    }
 
 
 def _vec_shape(counters: dict) -> dict:
@@ -179,6 +233,7 @@ def bench_sweeps(repeats: int) -> dict:
             os.environ[FASTPATH_ENV] = saved
         set_default_cache(None)
     out.update(bench_step())
+    out.update(bench_ooc_step())
     interp = out["fig10_fig11_interpreter_s"] + out["unroll_interpreter_s"]
     fast = out["fig10_fig11_fastpath_v2_s"] + out["unroll_fastpath_v2_s"]
     out["total_interpreter_s"] = interp
@@ -196,7 +251,8 @@ def main(argv=None) -> int:
     report = {
         "benchmark": (
             "executor fastpath v1/v2 vs interpreter "
-            "(fig10+fig11 / unroll / paper-scale / n=1024 step)"
+            "(fig10+fig11 / unroll / paper-scale / n=1024 step / "
+            "n=256 out-of-core step)"
         ),
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
@@ -206,7 +262,8 @@ def main(argv=None) -> int:
             "produce bit-identical memory, stats and cycles "
             "(tests/test_fastpath.py); paper-scale point runs the "
             "compiled modes only; step_* is the median and IQR of "
-            f"{STEP_REPEATS} n={STEP_N} driver steps"
+            f"{STEP_REPEATS} n={STEP_N} driver steps, ooc_step_* of "
+            f"{STEP_REPEATS} n={OOC_N} out-of-core steps"
         ),
         "results": bench_sweeps(args.repeats),
     }

@@ -20,6 +20,12 @@ only the warp's registers, predicates and scoreboard — exactly the part
 that can be fused into one compiled call without perturbing the
 cycle-accurate schedule.
 
+The blocks bound what is *compiled*, not how far a fused run goes: the
+executor's fused driver may continue past a shared load it proves to be
+a whole-warp broadcast and past a branch whose predicate is uniform,
+into the next block, when the warp is fully active with nothing parked
+on its divergence stack (see :mod:`repro.cudasim.fastpath`).
+
 Branch *targets* also start blocks.  That matters beyond the obvious
 jump-entry reason: the executor's reconvergence stack only ever parks
 lanes at forward-branch targets and at the instruction following a

@@ -22,7 +22,14 @@ overhead without perturbing a single simulated cycle:
    a cached wake-time list (invalidated on scoreboard writes and barrier
    release) and runs straight-line stretches through a fused driver
    inlined in :meth:`FastSMExecutor._run` that replays the interpreter's
-   exact stall/idle accounting while other warps sleep.
+   exact stall/idle accounting while other warps sleep.  An unprofiled,
+   fully active warp with no parked lanes keeps running *across* block
+   boundaries it can prove in place: an unpredicated whole-warp
+   broadcast ``LD_SHARED`` (aligned and in bounds; cost ``alu_issue ×
+   words``) and a ``BRA`` with a uniform predicate (cost ``alu_issue``).
+   Every other boundary op — and every load or branch the proofs reject
+   — still runs through the interpreter's ``_issue``, so its errors
+   raise at the same pc.
 4. (v2, ``REPRO_EXEC_FASTPATH=2``, the default) warps sitting at the
    same pc of the same basic block are *batched*: the executor keeps all
    resident warps' register files, predicates and scoreboards stacked in
@@ -45,7 +52,11 @@ executing warp is the *only* ready warp:
 
 * other warps' wake times are constant during a fused run — ALU blocks
   cannot release barriers, retire warps or touch the memory pipeline —
-  so ``t_other`` (earliest wake among other warps) is computed once;
+  so ``t_other`` (earliest wake among other warps) is computed once.
+  The crossed ops keep this: a uniform branch only moves the pc, and a
+  broadcast shared load only reads block-private words that no other
+  warp can write while this one runs alone; neither touches the memory
+  pipeline, a barrier or retirement state;
 * the run stops (a) at the block end, (b) as soon as ``t_other <= now``
   (the round-robin scan would pick the other warp next: after an issue
   the issuing warp is last in scan order), or (c) on a dependency stall
@@ -57,7 +68,18 @@ executing warp is the *only* ready warp:
   and a solo stall adds ``countable_others + 1`` stalls plus the idle
   gap, in the same float order;
 * reconvergence pcs are always block leaders (see :mod:`.cfg`), so the
-  divergence-stack check is needed only at run entry.
+  divergence-stack check is needed only at run entry; a run continues
+  past a block end only while the stack is empty, and crossed ops never
+  push onto it (a load or a uniform branch leaves the mask alone);
+* a crossed op issues exactly like the interpreter's: same words
+  written, scoreboard marked at ``now + latency``, same cost, counted
+  through the per-pc counters with 32 lanes, after the same
+  ``t_other`` break and dependency-stall accounting as an ALU step.
+  Under v2 with other countable warps the scheduler offers the replay
+  a dispatch at every iteration, so there a run crosses at most its
+  entry op and stops at its block end as before — the v2 dispatch
+  decisions (and their counters) are those of a driver that never
+  crosses.
 
 The v2 cross-warp dispatch rests on a *lockstep* property of the same
 scan: when every countable warp sits at the same pc ``pc0`` (cost
@@ -282,6 +304,11 @@ class FastProgram:
     #: execution time (wrong direction or divergence aborts the window
     #: exactly).  ``None`` for every other pc.
     bra: list | None = None
+    #: Per-pc flags of the pcs the replay scheduler can issue from (the
+    #: window rule of :func:`repro.cudasim.cfg.replay_schedulable`):
+    #: fusible ALU work plus the validated shared loads and branches.
+    #: ``None`` for per-warp (v1) programs.
+    vok: list | None = None
     #: Scheduler-replay cache keyed by ``(pcs, k0, dkey)`` — schedules
     #: are pure functions of the program, so the cache lives here and
     #: is shared by every SM executor and launch of this program.
@@ -693,6 +720,10 @@ def generate_source(
         f"{', cross-warp' if vectorize else ''})"
         " -- generated, do not edit",
         "import numpy as np",
+        # Immediates are bound by ``repr``: non-finite ones read back
+        # through these names.
+        "inf = float('inf')",
+        "nan = float('nan')",
     ]
     lines = head + warp_lines
     if vectorize:
@@ -890,6 +921,28 @@ def program_key(
     return h.hexdigest()
 
 
+def _memo_key(
+    lk: LoweredKernel, dev: DeviceProperties, toolchain, vectorize: bool
+) -> str:
+    """:func:`program_key`, computed once per ``lk`` × timing ×
+    toolchain × mode.  A lowered kernel is never mutated once compiled
+    (see :mod:`.kernel_cache`), so its keys are stored on it instead of
+    re-hashing the whole IR on every launch."""
+    memo = lk.__dict__.setdefault("_fastpath_keys", {})
+    sub = (
+        dev.alu_issue_cycles,
+        dev.sfu_issue_cycles,
+        dev.alu_result_latency,
+        dev.sfu_result_latency,
+        str(getattr(toolchain, "value", toolchain)),
+        vectorize,
+    )
+    key = memo.get(sub)
+    if key is None:
+        key = memo[sub] = program_key(lk, dev, toolchain, vectorize=vectorize)
+    return key
+
+
 def _build_program(
     lk: LoweredKernel, dev: DeviceProperties, vectorize: bool = False
 ) -> FastProgram:
@@ -915,6 +968,11 @@ def _build_program(
         writes=writes,
         mem=_mem_costs(lk, dev),
         bra=_bra_costs(lk, dev),
+        vok=(
+            [replay_schedulable(i) for i in lk.instructions]
+            if vectorize
+            else None
+        ),
     )
 
 
@@ -934,7 +992,7 @@ def compile_fastpath(
     cross-warp (v2) program — keyed separately, see :func:`program_key`.
     """
     cache = cache if cache is not None else default_cache()
-    key = program_key(lk, dev, toolchain, vectorize=vectorize)
+    key = _memo_key(lk, dev, toolchain, vectorize)
     missed = False
 
     def build() -> FastProgram:
@@ -1087,6 +1145,71 @@ class _VRequest:
     )
 
 
+# ------------------------------------------------------- in-place proofs
+#
+# The replay dispatcher (``_vevent``) and the fused driver (``_run``)
+# both execute a fully active warp's shared load or branch in place when
+# it provably does what ``SMExecutor._issue`` would do at a known cost.
+# Anything the proofs reject runs through ``_issue`` itself, so its
+# errors (misaligned or out-of-bounds addresses) raise at the same pc.
+
+#: Address magnitudes the load proof converts with ``int``; ``inf`` and
+#: values past it go through ``_issue`` and its checks.
+_ADDR_LIMIT = float(1 << 62)
+
+
+def _bcast_word(meta: tuple, wp: WarpState) -> int:
+    """First word of a whole-warp broadcast shared load, else ``-1``.
+
+    ``meta`` is the load's :attr:`FastProgram.mem` entry.  The proof
+    holds when the address register is equal in every lane and the
+    access is aligned and inside the block's shared memory.  Such a load
+    reads one word per vector lane, so its bank-conflict degree is
+    exactly ``len(dsts)`` and its issue cost is ``meta[0]``.  The caller
+    has checked that the warp is fully active.
+    """
+    _, _lat, dsts, aslot, off = meta
+    if aslot < 0:
+        return -1
+    arow = wp.regs[aslot]
+    a0 = arow[0]
+    if not -_ADDR_LIMIT < a0 < _ADDR_LIMIT or not (arow == a0).all():
+        return -1
+    addr = int(a0) + off
+    size = wp.block.shared.size_bytes
+    if addr & 3 or addr < 0 or addr + 4 * len(dsts) > size:
+        return -1
+    return addr >> 2
+
+
+def _bcast_load(meta: tuple, wp: WarpState, ws: int, t: float) -> None:
+    """Issue a proven broadcast load (first word ``ws``) at cycle ``t``:
+    every lane gets the words and the scoreboard marks ``t + lat``."""
+    _, lat, dsts, _aslot, _off = meta
+    words = wp.block.shared.words
+    regs = wp.regs
+    pending = wp.pending
+    tl = t + lat
+    for k, dst in enumerate(dsts):
+        regs[dst][:] = words[ws + k]
+        pending[dst] = tl
+
+
+def _uniform_next(meta: tuple, wp: WarpState, pc: int) -> int:
+    """Next pc of a fully active warp's branch at ``pc`` when its
+    predicate is uniform, else ``-1`` (the branch diverges).  ``meta``
+    is the branch's :attr:`FastProgram.bra` entry."""
+    tgt, pi, neg, _taken, _c = meta
+    if pi < 0:
+        return tgt
+    row = wp.preds[pi]
+    if row.all():
+        return pc + 1 if neg else tgt
+    if row.any():
+        return -1
+    return tgt if neg else pc + 1
+
+
 class FastSMExecutor(SMExecutor):
     """SM executor running straight-line stretches through codegen.
 
@@ -1133,12 +1256,6 @@ class FastSMExecutor(SMExecutor):
             self._vmeta: dict = {}  # (pc0, W) -> lockstep window
             self._vrmeta = self._program.vmeta  # (pcs, k0, dkey) -> replay
             self._mv_cache: dict = {}  # (W, i - lo) -> cyclic positions
-            # Pcs the replay scheduler can issue from (the window rule
-            # of :func:`repro.cudasim.cfg.replay_schedulable`): fusible
-            # ALU work plus the validated shared loads and branches.
-            self._vok = [
-                replay_schedulable(ins) for ins in self.lk.instructions
-            ]
         # Dispatch counters (merged into _VEC_COUNTERS per run).
         self._vstat = dict.fromkeys(_SM_KEYS, 0)
 
@@ -1945,18 +2062,16 @@ class FastSMExecutor(SMExecutor):
         m = e[1]
         q = e[2]
         wp = r.warps[r.lo + m]
-        na = r.nas[m]
+        full = r.nas[m] == WARP
         t = r.now + e[3]
         if e[0] == 3:
-            tgt, pi, neg, taken, _c = self._program.bra[q]
-            if na == WARP:
-                # Fully active warp: the assumption holds iff the
-                # predicate is uniform in the assumed direction.
-                prow = wp.preds[pi]
-                if prow.all() if taken != neg else not prow.any():
-                    self._cnt[q] += 1
-                    self._lanes_acc[q] += na
-                    return True
+            meta = self._program.bra[q]
+            tgt, _pi, _neg, taken, _c = meta
+            want = tgt if taken else q + 1
+            if full and _uniform_next(meta, wp, q) == want:
+                self._cnt[q] += 1
+                self._lanes_acc[q] += WARP
+                return True
             # Partial mask or assumption miss: run the real branch.  It
             # may still match (uniform over a partial mask) — anything
             # else ends the window exactly here with the real outcome
@@ -1965,38 +2080,20 @@ class FastSMExecutor(SMExecutor):
             end = self._issue(wp, t)
             if (
                 end == t + e[4]
-                and wp.pc == (tgt if taken else q + 1)
+                and wp.pc == want
                 and wp.active is r.acts[m]
             ):
                 return True
         else:
-            # Inlined execution of the dominant shared-load shape —
-            # register base, fully active warp, whole-warp broadcast
-            # address, aligned and in bounds.  Broadcast degree is
-            # exactly ``len(dsts)`` (one distinct word per bank,
-            # serialized by the vector width), which is the replay's
-            # assumed cost, so this shape can never abort; stats flow
+            # A proven broadcast costs exactly the replay's assumed
+            # conflict-free cost, so it can never abort; stats flow
             # through the per-pc counters ``_flush_counts`` folds,
             # identically to ``KernelStats.count``.
-            _, lat, dsts, aslot, off = self._program.mem[q]
-            if aslot >= 0 and na == WARP:
-                arow = wp.regs[aslot]
-                a0 = arow[0]
-                addr = int(a0) + off
-                shared = wp.block.shared
-                if (
-                    not addr & 3
-                    and 0 <= addr
-                    and addr + 4 * len(dsts) <= shared.size_bytes
-                    and (arow == a0).all()
-                ):
-                    words = shared.words
-                    ws = addr >> 2
-                    pending = wp.pending
-                    tl = t + lat
-                    for kk, dst in enumerate(dsts):
-                        wp.regs[dst][:] = words[ws + kk]
-                        pending[dst] = tl
+            meta = self._program.mem[q]
+            if full:
+                ws = _bcast_word(meta, wp)
+                if ws >= 0:
+                    _bcast_load(meta, wp, ws, t)
                     self._cnt[q] += 1
                     self._lanes_acc[q] += WARP
                     return True
@@ -2114,14 +2211,23 @@ class FastSMExecutor(SMExecutor):
         stats = self.stats
         prof = self.profile
         wake_of = self._wake_inf
-        deps = self._program.deps
+        program = self._program
+        deps = program.deps
         ends = self._ends
-        n_prog = self._program.n
+        n_prog = program.n
+        vok = program.vok
+        # In-place crossing of shared loads and branches: unprofiled runs
+        # only (the profiler's per-issue hooks live in ``_issue``).
+        cross_ok = prof is None
+        mem = program.mem
+        bra = program.bra
+        alu_i = float(self.device.alu_issue_cycles)
+        cnt = self._cnt
+        lanes_acc = self._lanes_acc
         queue = deque(block_ids)
         resident: list[BlockState] = []
         now = 0.0
         vec = self._vec
-        vok = self._vok if vec else None
         if vec:
             # Shared-memory slots of this SM in the arena (one per
             # resident block).
@@ -2235,7 +2341,10 @@ class FastSMExecutor(SMExecutor):
                         if res is not None:
                             now, rr = res
                             continue
-                if steps[pc0] is not None:
+                issued = False
+                if steps[pc0] is not None or (
+                    cross_ok and (mem[pc0] is not None or bra[pc0] is not None)
+                ):
                     # Fused driver, inlined (one entry per scheduler
                     # iteration makes the call itself measurable).  The
                     # scan above already charged the stalls that chose
@@ -2257,44 +2366,94 @@ class FastSMExecutor(SMExecutor):
                         warp._fp_act = act
                         warp._fp_na = na
                     full = na == WARP
+                    # Shared loads and branches are crossed in place
+                    # only for a fully active warp with no parked lanes
+                    # (mask and stack stay as they are while it runs, so
+                    # no reconvergence point is skipped; parked lanes
+                    # are never active, so a full mask already implies
+                    # an empty stack and the stack test only states the
+                    # condition the proof needs).  With other countable
+                    # warps under v2 every scheduler iteration offers
+                    # the replay a dispatch, so such a run crosses at
+                    # most its entry pc and otherwise stops where it
+                    # always did: at the fusible run's end.
+                    cross = cross_ok and full and not warp.div_stack
+                    past_ends = cross and not (vec and countable_others)
                     pending = warp.pending
                     pc = pc0
                     end = ends[pc]
-                    now = steps[pc](warp, now, act, full, na)
-                    pc += 1
-                    while pc < end:
-                        if t_other <= now:
-                            break  # another warp is ready, scans first
-                        wk = now
-                        for r in deps[pc]:
-                            v = pending[r]
-                            if v > wk:
-                                wk = v
-                        if wk > now:
-                            if t_other <= wk:
-                                # Another warp wins the idle-advance;
-                                # stop with no accounting — the outer
-                                # loop replays the interpreter's scan
-                                # and advance exactly.
+                    while True:
+                        if pc < end:
+                            st = steps[pc]
+                        else:
+                            if issued and not past_ends:
                                 break
-                            stats.scoreboard_stalls += countable_others + 1
-                            stats.idle_cycles += wk - now
-                            if prof is not None:
-                                # The running warp is provably the gap's
-                                # earliest waker (others wake at or past
-                                # t_other > wk), so attribute directly —
-                                # same verdict as the interpreter's scan.
-                                prof.gap(
-                                    now,
-                                    wk - now,
-                                    self._prof_dep_reason(
-                                        warp, deps[pc], wk
-                                    ),
-                                )
-                            now = wk
-                        stats.scoreboard_stalls += countable_others
-                        now = steps[pc](warp, now, act, full, na)
-                        pc += 1
+                            st = steps[pc]
+                            if st is not None:
+                                end = ends[pc]  # next fusible run
+                            elif not cross:
+                                break
+                            else:
+                                xm = mem[pc]
+                                if xm is not None:
+                                    ws = _bcast_word(xm, warp)
+                                    if ws < 0:
+                                        break
+                                else:
+                                    xb = bra[pc]
+                                    if xb is None:
+                                        break
+                                    nxt = _uniform_next(xb, warp, pc)
+                                    if nxt < 0:
+                                        break
+                        if issued:
+                            if t_other <= now:
+                                break  # another warp is ready, scans first
+                            wk = now
+                            for r in deps[pc]:
+                                v = pending[r]
+                                if v > wk:
+                                    wk = v
+                            if wk > now:
+                                if t_other <= wk:
+                                    # Another warp wins the idle-advance;
+                                    # stop with no accounting — the outer
+                                    # loop replays the interpreter's scan
+                                    # and advance exactly.
+                                    break
+                                stats.scoreboard_stalls += countable_others + 1
+                                stats.idle_cycles += wk - now
+                                if prof is not None:
+                                    # The running warp is provably the
+                                    # gap's earliest waker (others wake
+                                    # at or past t_other > wk), so
+                                    # attribute directly — same verdict
+                                    # as the interpreter's scan.
+                                    prof.gap(
+                                        now,
+                                        wk - now,
+                                        self._prof_dep_reason(
+                                            warp, deps[pc], wk
+                                        ),
+                                    )
+                                now = wk
+                            stats.scoreboard_stalls += countable_others
+                        issued = True
+                        if st is not None:
+                            now = st(warp, now, act, full, na)
+                            pc += 1
+                            continue
+                        cnt[pc] += 1
+                        lanes_acc[pc] += WARP
+                        if xm is not None:
+                            _bcast_load(xm, warp, ws, now)
+                            now += xm[0]
+                            pc += 1
+                        else:
+                            now += alu_i
+                            pc = nxt
+                        end = pc
+                if issued:
                     warp.pc = pc
                     warp.next_issue = now
                     if pc >= n_prog:  # pragma: no cover - lower() appends EXIT
@@ -2314,6 +2473,7 @@ class FastSMExecutor(SMExecutor):
                         for j in range(lo, hi):
                             wake[j] = wake_of(warps[j])
                 else:
+                    # Boundary op, or a load/branch the proofs rejected.
                     op = prepped[pc0].op
                     now = self._issue(warp, now)
                     if op is Op.BAR_SYNC or op is Op.EXIT or warp.done:

@@ -10,8 +10,8 @@ same way ccache keys object files by preprocessed source.
 
 Three pieces:
 
-* :class:`CompileOptions` — a frozen dataclass replacing the historical
-  ``compile_kernel(kernel, unroll=, licm=, dce=, ...)`` kwarg sprawl.
+* :class:`CompileOptions` — a frozen dataclass holding every compile
+  option (``compile_kernel(kernel, CompileOptions(unroll=4))``).
   It is also the cache key's option component, so there is exactly one
   canonical spelling of every configuration (``Unroll.FULL`` and
   ``"full"`` normalize to the same key).

@@ -13,8 +13,8 @@
 * ``info`` — occupancy-relevant observations: register demand vs a
   device budget, shared usage vs the SM.
 
-``compile_kernel(..., validate=True)`` runs the error-level checks
-automatically (see :mod:`repro.cudasim.launch`).
+``compile_kernel(kernel, CompileOptions(validate=True))`` runs the
+error-level checks automatically (see :mod:`repro.cudasim.launch`).
 """
 
 from __future__ import annotations

@@ -1237,6 +1237,8 @@ class ShardedGpuSimulation:
             fastpath=fastpath,
             peer_access=peer_access,
         )
+        for dev in self.group:
+            _check_toolchain(dev, cfg)
         self.num_devices = len(self.group)
         self.n = system.n
         padded = system.padded(cfg.block_size)

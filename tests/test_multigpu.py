@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.layouts import make_layout
 from repro.cudasim import Device, DeviceGroup, KernelCache
+from repro.cudasim.device import Toolchain
 from repro.gravit import (
     GpuConfig,
     GpuSimulation,
@@ -120,6 +121,20 @@ class TestBitIdentity:
         assert np.array_equal(ref_forces, forces)
         empty = [r0 == r1 for r0, r1 in stats["row_ranges"]]
         assert any(empty)  # 3 blocks over 8 devices
+
+    def test_group_toolchain_mismatch_rejected(self, system):
+        """A group built for another toolchain would run the config under
+        that toolchain's coalescing policy; the driver refuses it before
+        allocating anything, for any mismatching member."""
+        cfg = GpuConfig(block_size=BLOCK, toolchain=Toolchain.CUDA_2_2)
+        group = DeviceGroup(2, toolchain=Toolchain.CUDA_1_0)
+        mixed = DeviceGroup(2, toolchain=Toolchain.CUDA_2_2)
+        mixed.devices = (mixed[0], group[1])
+        for bad in (group, mixed):
+            with pytest.raises(ValueError, match="toolchain"):
+                ShardedGpuSimulation(system.copy(), cfg, group=bad)
+        for dev in (*group, *mixed):
+            assert list(dev.gmem.allocations()) == []
 
     def test_row_ranges_partition_padded_rows(self, system):
         cfg = GpuConfig(layout_kind="soaoas", block_size=BLOCK)
