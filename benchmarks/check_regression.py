@@ -61,16 +61,6 @@ BENCHMARKS = {
         ["--quick"],
         ("live",),
     ),
-    # Wall-clock host-dispatch metrics all live under "timing" and are
-    # machine-dependent end to end; the deterministic "graphs" subtree
-    # (bit-identity, cycle parity, copy accounting) is the gate.
-    "graphs": (
-        "graph_benchmark",
-        "BENCH_graphs.json",
-        [],
-        ["--steps", "3", "--repeats", "5"],
-        ("timing",),
-    ),
 }
 
 

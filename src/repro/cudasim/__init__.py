@@ -38,16 +38,12 @@ from .errors import (
     DeviceError,
     DoubleFreeError,
     ExecutionError,
-    GraphCaptureError,
-    GraphError,
-    GraphValidationError,
     IRError,
     LaunchError,
     LoweringError,
     MisalignedAccess,
     OutOfMemoryError,
     RegisterAllocationError,
-    StaleGraphError,
     StreamError,
 )
 from .executor import SM_ENGINES
@@ -75,7 +71,6 @@ from .kernel_cache import (
 )
 from .device_group import DeviceGroup
 from .envflags import env_bool, env_choice, env_float, env_mapped
-from .graph import GraphOp, LaunchGraph, ReplayResult
 from .launch import (
     DEFAULT_EVENT_TIMEOUT,
     EVENT_TIMEOUT_ENV,
@@ -170,13 +165,6 @@ __all__ = [
     "env_mapped",
     "EVENT_TIMEOUT_ENV",
     "DEFAULT_EVENT_TIMEOUT",
-    "LaunchGraph",
-    "GraphOp",
-    "ReplayResult",
-    "GraphError",
-    "GraphCaptureError",
-    "GraphValidationError",
-    "StaleGraphError",
     "Event",
     "SM_ENGINES",
     "lower",

@@ -118,19 +118,6 @@ class DeviceGroup:
             dev.stream(f"{prefix}{i}") for i, dev in enumerate(self.devices)
         ]
 
-    def capture(self, streams, name: str | None = None):
-        """Capture a :class:`~repro.cudasim.graph.LaunchGraph` over
-        ``streams`` (one or more streams on this group's members)::
-
-            with group.capture(streams, "step") as graph:
-                ...issue one epoch's ops...
-            graph.instantiate()
-            graph.replay()
-        """
-        from .graph import LaunchGraph
-
-        return LaunchGraph.capture(streams, name=name)
-
     def queue_depths(self) -> tuple[int, ...]:
         """Per-member pending-op counts across each device's streams."""
         return tuple(dev.queue_depth() for dev in self.devices)

@@ -76,28 +76,6 @@ class StreamError(CudaSimError):
     queue after an earlier failure, foreign event)."""
 
 
-class GraphError(CudaSimError):
-    """Misuse of the launch-graph API (see :mod:`repro.cudasim.graph`)."""
-
-
-class GraphCaptureError(GraphError):
-    """An operation that cannot be captured was issued during capture
-    (device→host copies, host closures), or capture state was misused
-    (double begin, capture on a closed/poisoned stream)."""
-
-
-class GraphValidationError(GraphError):
-    """``LaunchGraph.instantiate`` rejected the captured op sequence
-    (wait on an event not recorded in-capture, duplicate rebind tag,
-    peer copy leaving the captured device set)."""
-
-
-class StaleGraphError(GraphError):
-    """A captured launch no longer matches the device's compiled world
-    (``FASTPATH_GENERATION`` changed since ``instantiate()``); drop the
-    graph and re-capture."""
-
-
 class ExecutionError(CudaSimError):
     """Fault raised while executing kernel instructions."""
 

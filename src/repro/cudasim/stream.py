@@ -46,11 +46,10 @@ from typing import TYPE_CHECKING, Callable, Mapping
 import numpy as np
 
 from ..telemetry import runtime as _telemetry
-from .errors import GraphCaptureError, StreamError
+from .errors import StreamError
 from .memory import DevicePtr
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .graph import LaunchGraph
     from .launch import Device, LaunchResult
     from .lower import LoweredKernel
 
@@ -116,8 +115,6 @@ class Stream:
         self._lock = threading.Lock()
         self._closed = False
         self._depth = 0
-        #: Active LaunchGraph recording this stream's ops (None = normal).
-        self._capture: "LaunchGraph | None" = None
 
     # -- queue plumbing ----------------------------------------------------
 
@@ -151,12 +148,6 @@ class Stream:
         self, label: str, fn: Callable[[], object], **attrs
     ) -> concurrent.futures.Future:
         with self._lock:
-            if self._capture is not None:
-                raise GraphCaptureError(
-                    f"stream {self.name!r} is capturing into graph "
-                    f"{self._capture.name!r}; '{label}' is not capturable "
-                    "(its result is consumed on the host)"
-                )
             if self._closed:
                 raise StreamError(f"stream {self.name!r} is closed")
             if self._error is not None:
@@ -229,17 +220,10 @@ class Stream:
     # -- operations --------------------------------------------------------
 
     def memcpy_htod_async(
-        self, ptr: DevicePtr | int, data: np.ndarray, tag: str | None = None
+        self, ptr: DevicePtr | int, data: np.ndarray
     ) -> concurrent.futures.Future:
-        """Queue a host→device copy (advances the timeline by PCIe time).
-
-        ``tag`` names the copy for parameter rebinding when a
-        :class:`~repro.cudasim.graph.LaunchGraph` capture is active; it
-        is ignored in normal (non-capturing) execution.
-        """
+        """Queue a host→device copy (advances the timeline by PCIe time)."""
         data = np.ascontiguousarray(data)
-        if self._capture is not None:
-            return self._capture._record_htod(self, ptr, data, tag)
 
         def op() -> None:
             self.device.memcpy_htod(ptr, data)
@@ -265,19 +249,9 @@ class Stream:
         grid: int,
         block: int,
         params: Mapping[str, object] | None = None,
-        tag: str | None = None,
         **kwargs,
     ) -> concurrent.futures.Future:
-        """Queue a kernel launch; ``result()`` is its :class:`LaunchResult`.
-
-        ``tag`` names the launch for parameter rebinding when a
-        :class:`~repro.cudasim.graph.LaunchGraph` capture is active; it
-        is ignored in normal (non-capturing) execution.
-        """
-        if self._capture is not None:
-            return self._capture._record_launch(
-                self, lk, grid, block, params, tag, kwargs
-            )
+        """Queue a kernel launch; ``result()`` is its :class:`LaunchResult`."""
 
         def op() -> "LaunchResult":
             result = self.device.launch(
@@ -293,9 +267,6 @@ class Stream:
     def record_event(self, event: Event | None = None) -> Event:
         """Queue a marker; it fires when all prior ops on this stream ran."""
         ev = event or Event()
-        if self._capture is not None:
-            self._capture._record_record(self, ev)
-            return ev
         self._submit("record_event", lambda: ev._fire(self.cycles),
                      event=ev.name)
         return ev
@@ -319,10 +290,6 @@ class Stream:
         """
         nbytes = 4 * nwords
         hops = 2 if via_host else 1
-        if self._capture is not None:
-            return self._capture._record_peer(
-                self, src, dst_device, dst, nwords, hops
-            )
 
         def op() -> None:
             data = self.device.memcpy_dtoh(src, nwords)
@@ -348,9 +315,6 @@ class Stream:
         ``REPRO_EVENT_TIMEOUT`` says otherwise), and ``None`` or ``inf``
         waits forever.
         """
-        if self._capture is not None:
-            self._capture._record_wait(self, event)
-            return
         if timeout is _UNSET:
             timeout = self.device.event_timeout
         if timeout is not None and timeout == float("inf"):
@@ -434,32 +398,6 @@ class Stream:
             # Device.synchronize() keeps draining a closed stream and the
             # list grows without bound across failed sweeps.
             self._unregister()
-
-    # -- graph capture ------------------------------------------------------
-
-    def _begin_capture(self, graph: "LaunchGraph") -> None:
-        """Route this stream's capturable ops into ``graph`` (internal —
-        use :meth:`LaunchGraph.begin` / :meth:`DeviceGroup.capture`)."""
-        with self._lock:
-            if self._closed:
-                raise GraphCaptureError(
-                    f"cannot capture on closed stream {self.name!r}"
-                )
-            if self._error is not None:
-                raise GraphCaptureError(
-                    f"cannot capture on poisoned stream {self.name!r}"
-                ) from self._error
-            if self._capture is not None:
-                raise GraphCaptureError(
-                    f"stream {self.name!r} is already capturing into "
-                    f"graph {self._capture.name!r}"
-                )
-            self._capture = graph
-
-    def _end_capture(self, graph: "LaunchGraph") -> None:
-        with self._lock:
-            if self._capture is graph:
-                self._capture = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else f"{len(self._pending)} queued"

@@ -144,20 +144,6 @@ def _profile(quick: bool) -> ExperimentResult:
     return profile_report.run()
 
 
-def _graphs(quick: bool) -> ExperimentResult:
-    from . import graphs_replay
-
-    if quick:
-        return graphs_replay.run(
-            n=96,
-            devices=(1, 2, 4),
-            layout_kinds=("soaoas",),
-            steps=2,
-            repeats=10,
-        )
-    return graphs_replay.run()
-
-
 def _service(quick: bool) -> ExperimentResult:
     from . import service_saturation
 
@@ -186,7 +172,6 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[bool], ExperimentResult]]] = {
     "outofcore": ("streaming tiles through a prefetch pipeline", _outofcore),
     "profile": ("gravit-prof counters vs the fig11 ranking", _profile),
     "service": ("multi-tenant job service over a device group", _service),
-    "graphs": ("launch-graph capture/replay vs op-by-op dispatch", _graphs),
 }
 
 

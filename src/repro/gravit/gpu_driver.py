@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Literal, Union
@@ -35,8 +34,6 @@ from ..cudasim import profiler as _profiler
 from ..telemetry import runtime as _telemetry
 from ..cudasim.device import DeviceProperties, G8800GTX, Toolchain
 from ..cudasim.device_group import DeviceGroup
-from ..cudasim.errors import GraphError
-from ..cudasim.graph import LaunchGraph
 from ..cudasim.kernel_cache import CompileOptions, Unroll
 from ..cudasim.launch import Device, LaunchResult
 from ..cudasim.lower import LoweredKernel
@@ -68,33 +65,6 @@ __all__ = [
     "PCIE_BYTES_PER_S",
     "device_buffers",
 ]
-
-
-#: Simulation classes whose legacy kwarg constructor already warned this
-#: process — each warns exactly once, like compile_kernel's kwarg shim.
-_legacy_ctor_warned: set[str] = set()
-
-
-def _warn_legacy_ctor(cls_name: str, overrides: dict) -> None:
-    """One-per-process deprecation warning for kwarg-style constructors.
-
-    ``GpuSimulation(system, layout_kind="soa")`` and friends still work,
-    but the blessed spelling is the unified front door::
-
-        Simulation.create(SimulationConfig(layout="soa"), system)
-
-    (or passing an explicit :class:`GpuConfig`, which never warns).
-    """
-    if not overrides or cls_name in _legacy_ctor_warned:
-        return
-    _legacy_ctor_warned.add(cls_name)
-    warnings.warn(
-        f"{cls_name}(system, {', '.join(sorted(overrides))}=...) keyword "
-        "configuration is deprecated; build a repro.gravit.SimulationConfig "
-        "and call Simulation.create(config, system) (or pass a GpuConfig)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @contextmanager
@@ -474,11 +444,6 @@ class GpuSimulation:
     never touches the velocity arrays (asserted by trace in the tests).
 
     Intended for modest n (every step is a full cycle simulation).
-
-    ``use_graph=True`` captures the step's launch sequence into a
-    :class:`~repro.cudasim.graph.LaunchGraph` on first use (one graph
-    per integration scheme) and replays it on every subsequent step with
-    ``dt`` rebound — bit-identical results, near-zero host dispatch.
     """
 
     def __init__(
@@ -486,20 +451,11 @@ class GpuSimulation:
         system: ParticleSystem,
         config: GpuConfig | None = None,
         device: Device | None = None,
-        use_graph: bool = False,
-        **config_overrides,
     ) -> None:
-        if config is not None and config_overrides:
-            raise ValueError("pass either a GpuConfig or keyword overrides")
-        _warn_legacy_ctor("GpuSimulation", config_overrides)
-        self.config = config or GpuConfig(**config_overrides)
+        self.config = config or GpuConfig()
         self.device = _check_toolchain(
             device or Device(toolchain=self.config.toolchain), self.config
         )
-        self.use_graph = bool(use_graph)
-        self.graph_replays = 0
-        self._graphs: dict[str, LaunchGraph] = {}
-        self._gstream = None
         self.n = system.n
         cfg = self.config
         padded = system.padded(cfg.block_size)
@@ -518,8 +474,12 @@ class GpuSimulation:
         self._int_lk = self.device.compile(integrate_kernel)
 
         self._buf = self.device.malloc(self.layout.size_bytes)
-        self.device.memcpy_htod(self._buf, padded.pack(self.layout))
-        self._forces = self.device.malloc(16 * self.n_pad)
+        try:
+            self.device.memcpy_htod(self._buf, padded.pack(self.layout))
+            self._forces = self.device.malloc(16 * self.n_pad)
+        except BaseException:
+            self.device.free(self._buf)
+            raise
         self.cycles_total = 0.0
         self.steps_done = 0
 
@@ -547,86 +507,12 @@ class GpuSimulation:
             self._int_lk, grid=grid, block=cfg.block_size, params=iparams
         ).cycles
 
-    # -- graph-replay stepping ----------------------------------------------
-
-    def _capture_step(self, stream, scheme: str) -> None:
-        """Record one step's launches; integrates carry rebind tags."""
-        cfg = self.config
-        grid = self.n_pad // cfg.block_size
-
-        def force() -> None:
-            fparams = self._params_for(self._force_plan, POSMASS_FIELDS)
-            fparams.update(out=self._forces, nslices=grid, eps=cfg.eps)
-            stream.launch_async(
-                self._force_lk, grid, cfg.block_size, params=fparams
-            )
-
-        def integrate(i: int) -> None:
-            iparams = self._params_for(self._int_plan, ALL_FIELDS)
-            # dt placeholders; every replay rebinds before running.
-            iparams.update(forces=self._forces, kick_dt=0.0, drift_dt=0.0)
-            stream.launch_async(
-                self._int_lk, grid, cfg.block_size, params=iparams,
-                tag=f"integrate{i}",
-            )
-
-        force()
-        integrate(0)
-        if scheme == "leapfrog":
-            force()
-            integrate(1)
-
-    def _graph_for(self, scheme: str) -> LaunchGraph:
-        graph = self._graphs.get(scheme)
-        if graph is None:
-            if self._gstream is None:
-                self._gstream = self.device.stream("graph")
-            graph = LaunchGraph(name=f"gpu-step-{scheme}")
-            graph.begin(self._gstream)
-            try:
-                self._capture_step(self._gstream, scheme)
-                graph.end()
-            except BaseException:
-                graph.abort()
-                raise
-            graph.instantiate()
-            self._graphs[scheme] = graph
-        return graph
-
-    def _step_binds(self, dt: float, scheme: str) -> dict:
-        cfg = self.config
-        if scheme == "euler":
-            return {"integrate0": {"kick_dt": dt * cfg.g, "drift_dt": dt}}
-        if scheme == "leapfrog":
-            return {
-                "integrate0": {"kick_dt": dt / 2.0 * cfg.g, "drift_dt": dt},
-                "integrate1": {"kick_dt": dt / 2.0 * cfg.g, "drift_dt": 0.0},
-            }
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    def _step_graph(self, dt: float, scheme: str) -> float:
-        binds = self._step_binds(dt, scheme)  # validates the scheme
-        graph = self._graph_for(scheme)
-        with _telemetry.span(
-            "gravit.gpu_step", scheme=scheme, n=self.n, graph=graph.name
-        ) as sp:
-            result = graph.replay(binds)
-            cycles = result.launch_cycles
-            sp.set(cycles=cycles)
-        self.graph_replays += 1
-        self.cycles_total += cycles
-        self.steps_done += 1
-        _telemetry.inc("gravit.gpu_steps", scheme=scheme)
-        return cycles
-
     def step(self, dt: float, force_trace=None, scheme: str = "euler") -> float:
         """One integration step on the device; returns its cycle cost.
 
         ``scheme``: ``"euler"`` (one force + one kick-and-drift launch)
         or ``"leapfrog"`` (kick-drift-kick: two force evaluations).
         """
-        if self.use_graph and force_trace is None:
-            return self._step_graph(dt, scheme)
         with _telemetry.span(
             "gravit.gpu_step", scheme=scheme, n=self.n
         ) as sp:
@@ -671,10 +557,6 @@ class GpuSimulation:
         return words.reshape(-1, 4)[: self.n, :3].copy()
 
     def close(self) -> None:
-        if self._gstream is not None:
-            self._gstream.close()
-            self._gstream = None
-            self._graphs.clear()
         self.device.free(self._forces)
         self.device.free(self._buf)
 
@@ -727,13 +609,8 @@ class OutOfCoreSimulation:
         config: GpuConfig | None = None,
         device: Device | None = None,
         tile_rows: int | None = None,
-        use_graph: bool = False,
-        **config_overrides,
     ) -> None:
-        if config is not None and config_overrides:
-            raise ValueError("pass either a GpuConfig or keyword overrides")
-        _warn_legacy_ctor("OutOfCoreSimulation", config_overrides)
-        self.config = config or GpuConfig(**config_overrides)
+        self.config = config or GpuConfig()
         cfg = self.config
         self.device = _check_toolchain(
             device or Device(toolchain=cfg.toolchain), cfg
@@ -750,18 +627,13 @@ class OutOfCoreSimulation:
             raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
         self.tile_rows = min(-(-tile_rows // k) * k, self.n_pad)
         self.degenerate = self.tile_rows >= self.n_pad
-        self.use_graph = bool(use_graph)
-        self.graph_replays = 0
-        #: Per-resident-slice upload+compute graphs (graph mode only);
-        #: keyed by rtile index, valued (graph, ev_int, captured ntiles).
-        self._graphs: dict[int, tuple] = {}
         self.cycles_total = 0.0
         self.steps_done = 0
         if self.degenerate:
             # Everything fits in one tile: the streaming machinery would
             # only re-derive the in-core schedule, so use it directly.
             self._incore: GpuSimulation | None = GpuSimulation(
-                system, cfg, device=self.device, use_graph=use_graph
+                system, cfg, device=self.device
             )
             return
         self._incore = None
@@ -918,150 +790,6 @@ class OutOfCoreSimulation:
             self._copy.cycles - copy0, self._compute.cycles - compute0
         )
 
-    def _capture_rtile(self, rtile, grid, ntiles, image):
-        """Capture one resident slice's upload + tile-stream + integrate.
-
-        Returns ``(graph, ev_int, ntiles)``: the instantiated graph, the
-        integrate-done event the op-by-op writeback gates on (it
-        re-fires with fresh cycles every replay), and the column-tile
-        count baked into the capture.  Uses a *fresh*
-        :class:`TransferPipeline` (sharing :attr:`stats`) so slot gates
-        never reference another capture's events; the cross-slice gates
-        they replace are cycle-neutral (the integrate wait already
-        orders slot reuse).  The captured host→device views alias
-        ``image`` — :meth:`_phase_graph` updates that buffer in place so
-        replays always read the current pre-phase state.
-        """
-        cfg = self.config
-        k = cfg.block_size
-        graph = LaunchGraph(name=f"ooc-slice{rtile.index}")
-        graph.begin(self._copy, self._compute)
-        try:
-            pipeline = TransferPipeline(
-                self._copy, self._compute, self._staging, self.stats
-            )
-            ev_a = self._copy.record_event()
-            res_bytes = 0
-            for soff, words in self._rplan.host_views(rtile, image):
-                self._copy.memcpy_htod_async(
-                    self._resident.slice(soff, 4 * words.size), words
-                )
-                res_bytes += 4 * words.size
-            ev_res = self._copy.record_event()
-            self.stats.add_copy("resident", res_bytes, ev_a, ev_res)
-            self._compute.wait_event(ev_res)
-            pipeline.mark()
-
-            pb_params = {
-                name: self._resident.slice(soff, extent)
-                for name, (soff, extent) in zip(
-                    self._pb_names,
-                    self._rplan.step_offsets(rtile, POSMASS_FIELDS),
-                )
-            }
-            for ctile in self._cplan:
-                pipeline.stage(
-                    self._make_upload(ctile, image),
-                    self._make_compute(ctile, ntiles, grid, pb_params),
-                )
-
-            iparams = {
-                name: self._resident.slice(soff, extent)
-                for name, (soff, extent) in zip(
-                    self._int_plan.param_for_step,
-                    self._rplan.step_offsets(rtile, ALL_FIELDS),
-                )
-            }
-            iparams.update(forces=self._forces, kick_dt=0.0, drift_dt=0.0)
-            self._compute.launch_async(
-                self._int_lk, grid, k, params=iparams, tag="integrate"
-            )
-            ev_int = self._compute.record_event()
-            graph.end()
-        except BaseException:
-            graph.abort()
-            raise
-        graph.instantiate()
-        return graph, ev_int, ntiles
-
-    def _phase_graph(self, kick_dt: float, drift_dt: float) -> float:
-        """Graph-mode :meth:`_phase`: replay per-slice captured graphs.
-
-        The device→host writebacks stay op-by-op (the host consumes
-        their results this phase); everything upstream of the integrate
-        event replays from the slice's captured graph.  Bit-identical to
-        :meth:`_phase` — same op order on both streams, same cursor
-        arithmetic — with host dispatch collapsed to one replay call per
-        resident slice.
-        """
-        cfg = self.config
-        k = cfg.block_size
-        image = self._image
-        next_image = image.copy()
-        copy0, compute0 = self._copy.cycles, self._compute.cycles
-        ntiles = len(self._cplan)
-        binds = {
-            "integrate": {"kick_dt": kick_dt * cfg.g, "drift_dt": drift_dt}
-        }
-        inflight = []
-        for rtile in self._rplan:
-            grid = rtile.rows // k
-            entry = self._graphs.get(rtile.index)
-            if entry is None:
-                entry = self._capture_rtile(rtile, grid, ntiles, image)
-                self._graphs[rtile.index] = entry
-            graph, ev_int, cap_ntiles = entry
-            if cap_ntiles != ntiles:
-                raise GraphError(
-                    f"graph {graph.name!r} captured {cap_ntiles} column "
-                    f"tiles but the plan now has {ntiles}; the capture "
-                    "no longer matches the tile schedule — re-create the "
-                    "simulation (or drop its graphs) after resizing"
-                )
-            # Replay advances the cursors inline, so the previous
-            # slice's writebacks must be fully drained first (they read
-            # the resident slab this replay overwrites).
-            self._copy.synchronize()
-            self._compute.synchronize()
-            graph.replay(binds)
-            self.graph_replays += 1
-
-            self._copy.wait_event(ev_int)
-            wb_a = self._copy.record_event()
-            region_futs = [
-                (offset, nbytes,
-                 self._copy.memcpy_dtoh_async(
-                     self._resident.slice(soff, nbytes), nbytes // 4
-                 ))
-                for offset, nbytes, soff in rtile.regions
-            ]
-            force_fut = self._copy.memcpy_dtoh_async(
-                self._forces, 4 * rtile.rows
-            )
-            wb_b = self._copy.record_event()
-            self.stats.add_copy(
-                "writeback",
-                sum(nb for _, nb, _ in rtile.regions) + 16 * rtile.rows,
-                wb_a,
-                wb_b,
-            )
-            inflight.append((rtile, region_futs, force_fut))
-
-        self._copy.synchronize()
-        self._compute.synchronize()
-        for rtile, region_futs, force_fut in inflight:
-            for offset, nbytes, fut in region_futs:
-                next_image[offset // 4 : (offset + nbytes) // 4] = fut.result()
-            self._host_forces[rtile.lo : rtile.hi] = (
-                force_fut.result().reshape(-1, 4)
-            )
-        # In place, NOT a rebind: the captured upload views alias this
-        # buffer, so replays keep reading the current pre-phase state.
-        image[:] = next_image
-        return max(
-            self._copy.cycles - copy0, self._compute.cycles - compute0
-        )
-
     def _make_upload(self, ctile, image):
         def upload(slot: DevicePtr) -> int:
             total = 0
@@ -1103,18 +831,16 @@ class OutOfCoreSimulation:
             cycles = self._incore.step(dt, scheme=scheme)
             self.cycles_total = self._incore.cycles_total
             self.steps_done = self._incore.steps_done
-            self.graph_replays = self._incore.graph_replays
             return cycles
-        phase = self._phase_graph if self.use_graph else self._phase
         with _telemetry.span(
             "gravit.ooc_step", scheme=scheme, n=self.n,
             tile_rows=self.tile_rows,
         ) as sp:
             if scheme == "euler":
-                cycles = phase(dt, dt)
+                cycles = self._phase(dt, dt)
             elif scheme == "leapfrog":
-                cycles = phase(dt / 2.0, dt)  # kick + drift
-                cycles += phase(dt / 2.0, 0.0)  # closing kick
+                cycles = self._phase(dt / 2.0, dt)  # kick + drift
+                cycles += self._phase(dt / 2.0, 0.0)  # closing kick
             else:
                 raise ValueError(f"unknown scheme {scheme!r}")
             sp.set(cycles=cycles)
@@ -1221,13 +947,8 @@ class ShardedGpuSimulation:
         sm_engine: str | None = None,
         fastpath: bool | int | None = None,
         peer_access: bool = True,
-        use_graph: bool = False,
-        **config_overrides,
     ) -> None:
-        if config is not None and config_overrides:
-            raise ValueError("pass either a GpuConfig or keyword overrides")
-        _warn_legacy_ctor("ShardedGpuSimulation", config_overrides)
-        self.config = config or GpuConfig(**config_overrides)
+        self.config = config or GpuConfig()
         cfg = self.config
         self.group = group or DeviceGroup(
             num_devices,
@@ -1272,13 +993,18 @@ class ShardedGpuSimulation:
         self._int_lks = [dev.compile(integrate_kernel) for dev in self.group]
 
         packed = padded.pack(self.layout)
-        self._bufs = [dev.malloc(self.layout.size_bytes) for dev in self.group]
-        self._forces = [dev.malloc(16 * self.n_pad) for dev in self.group]
-        for dev, buf in zip(self.group, self._bufs):
-            dev.memcpy_htod(buf, packed)
-        self._streams = [
-            dev.stream(f"shard{d}") for d, dev in enumerate(self.group)
-        ]
+        self._bufs: list[DevicePtr] = []
+        self._forces: list[DevicePtr] = []
+        self._streams = []
+        try:
+            for d, dev in enumerate(self.group):
+                self._bufs.append(dev.malloc(self.layout.size_bytes))
+                self._forces.append(dev.malloc(16 * self.n_pad))
+                dev.memcpy_htod(self._bufs[d], packed)
+                self._streams.append(dev.stream(f"shard{d}"))
+        except BaseException:
+            self.close()
+            raise
         #: Merged posmass byte regions per owner — what a broadcast ships.
         self._regions = [
             self.layout.row_regions(r0, r1, POSMASS_FIELDS) if r0 < r1 else ()
@@ -1290,11 +1016,6 @@ class ShardedGpuSimulation:
         self.copy_cycles_total = 0.0
         self.copy_bytes_total = 0
         self.steps_done = 0
-        self.use_graph = bool(use_graph)
-        self.graph_replays = 0
-        self._graphs: dict[str, LaunchGraph] = {}
-        #: Broadcast bytes one replay of each scheme's graph ships.
-        self._graph_copy_bytes: dict[str, int] = {}
 
     @property
     def row_ranges(self) -> tuple[tuple[int, int], ...]:
@@ -1321,10 +1042,7 @@ class ShardedGpuSimulation:
             self._force_lks[d], grid=grid, block=cfg.block_size, params=params
         )
 
-    def _launch_integrate(
-        self, d: int, kick_dt: float, drift_dt: float,
-        tag: str | None = None,
-    ) -> None:
+    def _launch_integrate(self, d: int, kick_dt: float, drift_dt: float) -> None:
         cfg = self.config
         r0, r1 = self._row_ranges[d]
         grid = (r1 - r0) // cfg.block_size
@@ -1336,8 +1054,7 @@ class ShardedGpuSimulation:
             row0=r0,
         )
         self._streams[d].launch_async(
-            self._int_lks[d], grid=grid, block=cfg.block_size, params=params,
-            tag=tag,
+            self._int_lks[d], grid=grid, block=cfg.block_size, params=params
         )
 
     def _active(self) -> list[int]:
@@ -1354,13 +1071,16 @@ class ShardedGpuSimulation:
             default=0.0,
         )
 
-    def _issue_exchange(self) -> int:
-        """Enqueue every owner's posmass broadcast; returns bytes shipped.
+    def _exchange_posmass(self) -> float:
+        """Broadcast every owner's posmass rows to all peer replicas.
 
         Copies are issued on the owner's stream, so different owners'
-        broadcasts overlap.  Shared between the op-by-op step and graph
-        capture — the captured op sequence is this exact one.
+        broadcasts overlap.  Returns the modeled copy cycles added this
+        exchange (the slowest owner's makespan).
         """
+        if self.num_devices == 1:
+            return 0.0
+        start = [s.cycles for s in self._streams]
         via_host = self.group.via_host
         total = 0
         for d in self._active():
@@ -1377,21 +1097,10 @@ class ShardedGpuSimulation:
                         via_host=via_host,
                     )
                     total += nbytes
-        return total
-
-    def _exchange_posmass(self) -> float:
-        """Broadcast every owner's posmass rows to all peer replicas.
-
-        Returns the modeled copy cycles added this exchange (the slowest
-        owner's makespan).
-        """
-        if self.num_devices == 1:
-            return 0.0
-        start = [s.cycles for s in self._streams]
-        self.copy_bytes_total += self._issue_exchange()
+        self.copy_bytes_total += total
         return self._sync_delta(start)
 
-    # -- graph-replay stepping ----------------------------------------------
+    # -- stepping ------------------------------------------------------------
 
     @staticmethod
     def _phases(dt: float, scheme: str) -> list[tuple[float, float, bool]]:
@@ -1402,84 +1111,6 @@ class ShardedGpuSimulation:
             return [(dt / 2.0, dt, True), (dt / 2.0, 0.0, False)]
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    def _graph_for(self, scheme: str) -> LaunchGraph:
-        """Capture (once per scheme) the whole step across all shards.
-
-        Marker pairs bracket each phase's compute and broadcast spans so
-        a replay yields the same compute/copy split the op-by-op path
-        derives from its host-sync deltas.  ``kick_dt``/``drift_dt`` are
-        captured as placeholders; every replay rebinds them.
-        """
-        graph = self._graphs.get(scheme)
-        if graph is None:
-            graph = LaunchGraph(name=f"sharded-step-{scheme}")
-            graph.begin(*self._streams)
-            try:
-                copy_bytes = 0
-                for p, (_, _, drifts) in enumerate(self._phases(0.0, scheme)):
-                    graph.marker(f"p{p}.start")
-                    for d in self._active():
-                        self._launch_forces(d)
-                        self._launch_integrate(d, 0.0, 0.0, tag=f"int{p}.{d}")
-                    graph.marker(f"p{p}.compute")
-                    if drifts and self.num_devices > 1:
-                        copy_bytes += self._issue_exchange()
-                    graph.marker(f"p{p}.copy")
-                graph.end()
-            except BaseException:
-                graph.abort()
-                raise
-            graph.instantiate()
-            self._graphs[scheme] = graph
-            self._graph_copy_bytes[scheme] = copy_bytes
-        return graph
-
-    def _step_binds(self, dt: float, scheme: str) -> dict:
-        cfg = self.config
-        binds = {}
-        for p, (kick_dt, drift_dt, _) in enumerate(self._phases(dt, scheme)):
-            for d in self._active():
-                binds[f"int{p}.{d}"] = {
-                    "kick_dt": kick_dt * cfg.g, "drift_dt": drift_dt,
-                }
-        return binds
-
-    def _step_graph(self, dt: float, scheme: str) -> float:
-        binds = self._step_binds(dt, scheme)  # validates the scheme
-        graph = self._graph_for(scheme)
-        with _telemetry.span(
-            "gravit.sharded_step",
-            scheme=scheme,
-            n=self.n,
-            devices=self.num_devices,
-            graph=graph.name,
-        ) as sp:
-            result = graph.replay(binds)
-            compute = 0.0
-            copy = 0.0
-            for p in range(len(self._phases(dt, scheme))):
-                m0 = result.markers[f"p{p}.start"]
-                m1 = result.markers[f"p{p}.compute"]
-                m2 = result.markers[f"p{p}.copy"]
-                compute += max(
-                    (b - a for a, b in zip(m0, m1)), default=0.0
-                )
-                copy += max(
-                    (b - a for a, b in zip(m1, m2)), default=0.0
-                )
-            cycles = compute + copy
-            sp.set(cycles=cycles, copy_cycles=copy)
-        self.graph_replays += 1
-        self.copy_bytes_total += self._graph_copy_bytes[scheme]
-        self.compute_cycles_total += compute
-        self.copy_cycles_total += copy
-        self.cycles_total += cycles
-        self.steps_done += 1
-        _telemetry.inc("gravit.sharded_steps", scheme=scheme)
-        return cycles
-
-    # -- stepping ------------------------------------------------------------
-
     def step(self, dt: float, scheme: str = "euler") -> float:
         """One sharded step; returns its modeled cycle cost.
 
@@ -1487,8 +1118,6 @@ class ShardedGpuSimulation:
         follows every launch phase whose integration drifts positions
         (the leapfrog closing kick has ``drift_dt=0``, so it needs none).
         """
-        if self.use_graph:
-            return self._step_graph(dt, scheme)
         with _telemetry.span(
             "gravit.sharded_step",
             scheme=scheme,
@@ -1555,11 +1184,11 @@ class ShardedGpuSimulation:
         return out[: self.n, :3].copy()
 
     def close(self) -> None:
-        self._graphs.clear()
         for stream in self._streams:
             stream.close()
-        for dev, buf, forces in zip(self.group, self._bufs, self._forces):
+        for dev, forces in zip(self.group, self._forces):
             dev.free(forces)
+        for dev, buf in zip(self.group, self._bufs):
             dev.free(buf)
 
     def __enter__(self) -> "ShardedGpuSimulation":
@@ -1591,17 +1220,13 @@ class PooledSimulation:
         device: Device,
         config: GpuConfig | None = None,
         handles=None,
-        **config_overrides,
     ) -> None:
         if getattr(device, "gmem", None) is not pool.memory:
             raise ValueError(
                 "device must own the pool's heap "
                 "(expected device.gmem is pool.memory)"
             )
-        if config is not None and config_overrides:
-            raise ValueError("pass either a GpuConfig or keyword overrides")
-        _warn_legacy_ctor("PooledSimulation", config_overrides)
-        self.config = config or GpuConfig(**config_overrides)
+        self.config = config or GpuConfig()
         self.pool = pool
         self.device = device
         self.handles = (

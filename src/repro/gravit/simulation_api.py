@@ -1,10 +1,11 @@
 """The unified simulation surface: one config, one entry point.
 
-The driver layer grew three host-side front doors — :class:`GpuSimulation`
-(single device), :class:`ShardedGpuSimulation` (a :class:`DeviceGroup`)
-and :class:`PooledSimulation` (dynamic populations over a block pool) —
-each with its own kwarg sprawl for the same underlying knobs.  This
-module collapses them behind:
+The driver layer has four host-side front doors — :class:`GpuSimulation`
+(single device), :class:`OutOfCoreSimulation` (row tiles streamed through
+one device), :class:`ShardedGpuSimulation` (a :class:`DeviceGroup`) and
+:class:`PooledSimulation` (dynamic populations over a block pool).  Each
+takes a :class:`~repro.gravit.gpu_driver.GpuConfig` for the kernel-shaping
+knobs.  This module puts them behind:
 
 * :class:`SimulationConfig` — a frozen dataclass naming *every* host-side
   choice: memory layout, compiler options, toolchain, SM engine,
@@ -15,15 +16,11 @@ module collapses them behind:
   scheduler routes on for cache-aware placement.
 * :class:`Simulation.create` — the single constructor.  It inspects the
   config and builds the right driver (pooled when ``pool_records_per_
-  block`` is set, sharded when ``devices > 1``, plain otherwise) so the
-  CLI, the tests and the multi-tenant service all drive the exact same
+  block`` is set, sharded when ``devices > 1`` or a group is given,
+  out-of-core when ``out_of_core`` is set, plain otherwise) so the CLI,
+  the tests and the multi-tenant service all drive the exact same
   surface.  Results are bit-identical to constructing the drivers
   directly: the config only *carries* the knobs, it never changes them.
-
-The legacy kwarg constructors (``GpuSimulation(system, layout_kind=...)``
-etc.) keep working behind a once-per-process deprecation warning each —
-the same shim pattern :func:`repro.cudasim.compile_kernel` used for its
-pre-1.1 keyword form.
 """
 
 from __future__ import annotations
@@ -85,9 +82,6 @@ class SimulationConfig:
     out_of_core: bool = False
     #: Rows per streamed tile (out-of-core only); None = 4 x block_size.
     tile_rows: int | None = None
-    #: Capture the steady-state step into a LaunchGraph once and replay
-    #: it thereafter — same bits, near-zero host work per step.
-    use_graph: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unroll", Unroll.coerce(self.unroll))
@@ -104,12 +98,6 @@ class SimulationConfig:
                 raise ValueError(
                     "pooled simulations are single-device; got "
                     f"devices={self.devices}"
-                )
-            if self.use_graph:
-                raise ValueError(
-                    "use_graph is unsupported for pooled simulations — "
-                    "gather/scatter reshapes device memory every step, so "
-                    "there is no steady-state op sequence to capture"
                 )
         if self.tile_rows is not None and not self.out_of_core:
             raise ValueError("tile_rows requires out_of_core=True")
@@ -167,8 +155,6 @@ class SimulationConfig:
             bits.append("pooled")
         if self.out_of_core:
             bits.append("ooc")
-        if self.use_graph:
-            bits.append("graph")
         return "+".join(bits)
 
     def replace(self, **changes) -> "SimulationConfig":
@@ -233,6 +219,9 @@ class Simulation:
         :class:`GpuSimulation`.  ``device``/``group`` let callers (the
         job service) pin the simulation onto existing hardware; the
         config's topology knobs are only used when they are absent.
+        Hardware that contradicts the config raises ``ValueError``: both
+        a device and a group, a group for a pooled or out-of-core config
+        (both single-device), or a single device for ``devices > 1``.
 
         ``overrides`` are :class:`SimulationConfig` fields for the
         config-less convenience form ``Simulation.create(system=sys,
@@ -245,6 +234,21 @@ class Simulation:
         cfg = config or SimulationConfig(**overrides)
         if system is None:
             raise ValueError("Simulation.create needs a ParticleSystem")
+        if device is not None and group is not None:
+            raise ValueError("pass either a device or a group, not both")
+        if group is not None and (
+            cfg.pool_records_per_block is not None or cfg.out_of_core
+        ):
+            kind = "out-of-core" if cfg.out_of_core else "pooled"
+            raise ValueError(
+                f"{kind} simulations are single-device; pass device=, "
+                "not group="
+            )
+        if device is not None and cfg.devices > 1:
+            raise ValueError(
+                f"devices={cfg.devices} needs a DeviceGroup; pass group=, "
+                "not device="
+            )
         if cfg.pool_records_per_block is not None:
             from ..cudasim.alloc import BlockPool
 
@@ -263,7 +267,6 @@ class Simulation:
                 system,
                 cfg.gpu_config,
                 group=group or cfg.make_group(),
-                use_graph=cfg.use_graph,
             )
         if cfg.out_of_core:
             return OutOfCoreSimulation(
@@ -271,11 +274,9 @@ class Simulation:
                 cfg.gpu_config,
                 device=device or cfg.make_device(),
                 tile_rows=cfg.tile_rows,
-                use_graph=cfg.use_graph,
             )
         return GpuSimulation(
             system,
             cfg.gpu_config,
             device=device or cfg.make_device(),
-            use_graph=cfg.use_graph,
         )

@@ -355,11 +355,6 @@ class SimulationService:
             sim = Simulation.create(spec.config, spec.system.copy(), device=device)
             try:
                 cycles = sim.run(spec.steps, spec.dt, scheme=spec.scheme)
-                replays = getattr(sim, "graph_replays", 0)
-                if replays:
-                    _telemetry.inc(
-                        "service.graph_replays", replays, tenant=handle.tenant
-                    )
                 if isinstance(sim, PooledSimulation):
                     state = sim.writeback()
                     forces = None

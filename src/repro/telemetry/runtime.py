@@ -30,8 +30,6 @@ __all__ = [
     "get",
     "reset",
     "span",
-    "synthesize_span",
-    "now_s",
     "inc",
     "set_gauge",
     "observe",
@@ -97,28 +95,6 @@ def span(name: str, **attrs):
     if active is None:
         return NOOP_SPAN
     return active.tracer.span(name, attrs or None)
-
-
-def now_s() -> float:
-    """Seconds on the active tracer's clock (0.0 when disabled)."""
-    active = _ACTIVE
-    if active is None:
-        return 0.0
-    return active.tracer.now_s()
-
-
-def synthesize_span(
-    name: str,
-    start_s: float,
-    end_s: float,
-    attrs: dict | None = None,
-    parent_id: int | None = None,
-):
-    """Append an already-timed span (see :meth:`Tracer.synthesize`)."""
-    active = _ACTIVE
-    if active is None:
-        return None
-    return active.tracer.synthesize(name, start_s, end_s, attrs, parent_id)
 
 
 def inc(name: str, value: float = 1.0, **labels) -> None:

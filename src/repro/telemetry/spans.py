@@ -154,36 +154,5 @@ class Tracer:
         if rec.span_id in self._stack:
             self._stack.remove(rec.span_id)
 
-    def synthesize(
-        self,
-        name: str,
-        start_s: float,
-        end_s: float,
-        attrs: dict | None = None,
-        parent_id: int | None = None,
-    ) -> SpanRecord:
-        """Append an already-timed span record.
-
-        For work that was *not* measured live — graph replays re-execute
-        recorded ops without per-op span setup, then reconstruct child
-        spans from the recorded simulated cycles.  The caller supplies
-        both endpoints (seconds since this tracer's epoch) and, if the
-        span belongs under a live parent, that parent's ``span_id``; the
-        per-thread parent stack is not consulted.
-        """
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-        rec = SpanRecord(
-            name=name,
-            span_id=span_id,
-            parent_id=parent_id,
-            start_s=start_s,
-            end_s=end_s,
-            attrs=attrs if attrs is not None else {},
-        )
-        self.records.append(rec)
-        return rec
-
     def finished(self) -> list[SpanRecord]:
         return [r for r in self.records if r.end_s is not None]

@@ -158,7 +158,6 @@ class TestRegistryAndReport:
             "fig10", "fig11", "fig12", "unroll", "occupancy",
             "diagrams", "ablation", "portability", "warps", "model", "bh",
             "bhgpu", "frag", "multigpu", "outofcore", "profile", "service",
-            "graphs",
         }
 
     def test_unknown_experiment(self):

@@ -8,16 +8,35 @@ with the device left usable.
 import numpy as np
 import pytest
 
-from repro.cudasim import CompileOptions, Device, KernelBuilder, compile_kernel
+from repro.cudasim import (
+    CompileOptions,
+    Device,
+    DeviceGroup,
+    KernelBuilder,
+    compile_kernel,
+)
 from repro.cudasim.errors import (
     AccessViolation,
     AllocationError,
     LaunchError,
     MisalignedAccess,
+    OutOfMemoryError,
 )
 from repro.cudasim.occupancy import suggest_block_size
 from repro.cudasim import G8800GTX
-from repro.gravit import GpuConfig, GpuForceBackend, GpuSimulation, uniform_cube
+from repro.gravit import (
+    GpuConfig,
+    GpuForceBackend,
+    GpuSimulation,
+    ShardedGpuSimulation,
+    Simulation,
+    SimulationConfig,
+    uniform_cube,
+)
+
+#: n=256 soaoas at block 64: an 8 KB state buffer, then a 4 KB force
+#: buffer.  A heap 256 bytes short of both fails the second allocation.
+_N, _STATE, _FORCES = 256, 8192, 4096
 
 
 def _store_kernel(offset_expr):
@@ -91,6 +110,41 @@ class TestResourceExhaustion:
                 system, GpuConfig(block_size=64),
                 device=Device(heap_bytes=1 << 12),
             )
+
+    def test_gpu_simulation_oom_frees_earlier_buffers(self):
+        dev = Device(heap_bytes=_STATE + _FORCES - 256)
+        before = list(dev.gmem.allocations())
+        with pytest.raises(OutOfMemoryError):
+            GpuSimulation(
+                uniform_cube(_N, seed=3), GpuConfig(block_size=64), device=dev
+            )
+        assert list(dev.gmem.allocations()) == before
+
+    def test_sharded_oom_frees_every_shard(self):
+        group = DeviceGroup(2, heap_bytes=_STATE + _FORCES - 256)
+        before = [list(dev.gmem.allocations()) for dev in group]
+        with pytest.raises(OutOfMemoryError):
+            ShardedGpuSimulation(
+                uniform_cube(_N, seed=3), GpuConfig(block_size=64),
+                group=group,
+            )
+        assert [list(dev.gmem.allocations()) for dev in group] == before
+
+    def test_pooled_step_oom_frees_staging(self):
+        # Pool blocks take 8 KB, the staging state buffer 8 KB; the 4 KB
+        # force buffer does not fit in what is left.
+        cfg = SimulationConfig(
+            block_size=64, pool_records_per_block=64,
+            heap_bytes=_STATE + _STATE + 2048,
+        )
+        sim = Simulation.create(cfg, uniform_cube(_N, seed=3))
+        gmem = sim.device.gmem
+        before = list(gmem.allocations())
+        for _ in range(2):  # a leak would make the retry fail earlier
+            with pytest.raises(OutOfMemoryError, match=str(_FORCES)):
+                sim.step(1e-3)
+            assert list(gmem.allocations()) == before
+        sim.close()
 
     def test_register_hungry_block_rejected_at_launch(self):
         dev = Device(heap_bytes=1 << 12)

@@ -78,11 +78,6 @@ class TestGpuSimulation:
             assert gpu.cycles_total == pytest.approx(c1 + c2)
             assert gpu.steps_done == 2
 
-    def test_config_xor_overrides(self):
-        system = uniform_cube(64, seed=55)
-        with pytest.raises(ValueError):
-            GpuSimulation(system, GpuConfig(), layout_kind="soa")
-
     def test_negative_steps_rejected(self):
         system = uniform_cube(64, seed=56)
         with GpuSimulation(system, GpuConfig(block_size=64)) as gpu:

@@ -3,8 +3,8 @@
 Covers the four contracts the job service makes:
 
 * **One entry point** — :class:`SimulationConfig` + ``Simulation.create``
-  subsume the three driver constructors; the legacy kwarg forms still
-  work behind exactly one :class:`DeprecationWarning` per process.
+  subsume the four driver constructors and refuse hardware that
+  contradicts the config.
 * **Machine-readable refusals** — the :class:`ServiceError` family
   carries tenant/queue-depth/retry-after fields; the device-side
   ``LaunchError`` family is re-exported from the same package.
@@ -29,7 +29,6 @@ import repro.service as service_pkg
 from repro.cudasim import G8800GTX
 from repro.cudasim.device import Toolchain
 from repro.gravit import (
-    GpuConfig,
     GpuSimulation,
     PooledSimulation,
     ShardedGpuSimulation,
@@ -37,7 +36,6 @@ from repro.gravit import (
     SimulationConfig,
     plummer,
 )
-from repro.gravit import gpu_driver
 from repro.service import (
     JobCancelledError,
     JobHandle,
@@ -202,45 +200,39 @@ class TestSimulationConfig:
         with pytest.raises(ValueError, match="ParticleSystem"):
             Simulation.create(HW)
 
+    def test_create_rejects_group_for_out_of_core(self, system):
+        cfg = HW.replace(out_of_core=True, tile_rows=32)
+        with pytest.raises(ValueError, match="out-of-core.*single-device"):
+            Simulation.create(cfg, system.copy(), group=HW.make_group(2))
 
-class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_state(self, monkeypatch):
-        monkeypatch.setattr(gpu_driver, "_legacy_ctor_warned", set())
+    def test_create_rejects_group_for_pooled(self, system):
+        cfg = HW.replace(pool_records_per_block=16)
+        with pytest.raises(ValueError, match="pooled.*single-device"):
+            Simulation.create(cfg, system.copy(), group=HW.make_group(2))
 
-    def test_legacy_kwargs_warn_once_per_class(self, system):
-        with pytest.warns(DeprecationWarning, match="SimulationConfig"):
-            sim = GpuSimulation(
-                system.copy(), layout_kind="soa", block_size=32
+    def test_create_rejects_device_for_multi_device(self, system):
+        with pytest.raises(ValueError, match="DeviceGroup"):
+            Simulation.create(
+                HW.replace(devices=2), system.copy(), device=HW.make_device()
             )
-        sim.close()
-        # Second legacy construction: shim already fired for this class.
-        import warnings
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            sim = GpuSimulation(
-                system.copy(), layout_kind="aos", block_size=32
+    def test_create_rejects_device_and_group(self, system):
+        with pytest.raises(ValueError, match="not both"):
+            Simulation.create(
+                HW, system.copy(), device=HW.make_device(),
+                group=HW.make_group(2),
             )
-            sim.close()
 
-    def test_each_class_warns_independently(self, system):
-        with pytest.warns(DeprecationWarning, match="GpuSimulation"):
-            GpuSimulation(system.copy(), block_size=32).close()
-        with pytest.warns(DeprecationWarning, match="ShardedGpuSimulation"):
-            ShardedGpuSimulation(system.copy(), block_size=32).close()
-
-    def test_config_path_never_warns(self, system):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            GpuSimulation(system.copy(), GpuConfig(block_size=32)).close()
-            Simulation.create(HW, system.copy()).close()
-
-    def test_config_plus_kwargs_still_rejected(self, system):
-        with pytest.raises(ValueError, match="either"):
-            GpuSimulation(system.copy(), GpuConfig(), layout_kind="soa")
+    def test_create_uses_the_hardware_passed(self, system):
+        dev = HW.make_device()
+        with Simulation.create(
+            HW.replace(out_of_core=True, tile_rows=32), system.copy(),
+            device=dev,
+        ) as sim:
+            assert sim.device is dev
+        group = HW.make_group(2)
+        with Simulation.create(HW, system.copy(), group=group) as sim:
+            assert sim.group is group
 
 
 # ---------------------------------------------------------------------------
